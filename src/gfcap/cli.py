@@ -17,7 +17,7 @@ import time
 import numpy as np
 
 from .feedback import (
-    chen_yanagi_bound,
+    chen_yanagi_curve,
     conjecture_check,
     cover_pombra_bounds,
     sandwich_failures,
@@ -147,10 +147,8 @@ def cmd_bounds(args):
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
     alphas = np.logspace(np.log10(args.alpha_min), np.log10(args.alpha_max),
                          args.alpha_points)
-    curve = [(float(a),) + chen_yanagi_bound(psd, args.power, float(a), cfg)
-             for a in alphas]
-    from .feedback import minimize_cy
-    cy_alpha, cy_value = minimize_cy(psd, args.power, alphas, cfg)
+    curve, cy_alpha, cy_value = chen_yanagi_curve(psd, args.power, alphas,
+                                                  cfg)
     report = _envelope(
         "bounds",
         {"psd": psd_describe(psd), "power": args.power, "tol": args.tol,
@@ -185,7 +183,8 @@ def _parse_sweep(text):
 
 def cmd_counterexample(args):
     started = time.perf_counter()
-    report = conjecture_check(1.0)
+    cfg = _quad_config(args)
+    report = conjecture_check(1.0, cfg)
     failures = sandwich_failures(report)
     if failures:
         raise CheckFailure("; ".join(failures))
@@ -209,7 +208,7 @@ def cmd_counterexample(args):
     if args.power_sweep:
         rows = []
         for p in _parse_sweep(args.power_sweep):
-            rep = conjecture_check(float(p))
+            rep = conjecture_check(float(p), cfg)
             rows.append([float(p), rep.sk_rate, rep.conjecture_bound,
                          rep.violated])
         outputs["power_sweep"] = rows

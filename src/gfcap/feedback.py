@@ -143,6 +143,18 @@ def default_alpha_grid(n_points=50, lo=0.1, hi=10.0):
     return np.logspace(math.log10(lo), math.log10(hi), n_points)
 
 
+def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
+                      config: QuadratureConfig | None = None):
+    """The bound pair at every alpha of the grid, then its minimum over
+    alpha: returns (curve, cy_min_alpha, cy_min_value), with curve entries
+    (alpha, bound1, bound2)."""
+    curve = tuple(
+        (float(a),) + chen_yanagi_bound(psd, power, float(a), config)
+        for a in alpha_grid)
+    cy_alpha, cy_value = minimize_cy(psd, power, alpha_grid, config)
+    return curve, cy_alpha, cy_value
+
+
 def conjecture_check(power: float, config: QuadratureConfig | None = None,
                      alpha_grid=None) -> BoundReport:
     """Full bound report for the MA(1) channel at the given power.
@@ -157,10 +169,7 @@ def conjecture_check(power: float, config: QuadratureConfig | None = None,
     c_p = nonfeedback_capacity(psd, power, config).capacity_bits
     c_2p = nonfeedback_capacity(psd, 2.0 * power, config).capacity_bits
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
-    curve = tuple(
-        (float(a),) + chen_yanagi_bound(psd, power, float(a), config)
-        for a in grid)
-    cy_alpha, cy_value = minimize_cy(psd, power, grid, config)
+    curve, cy_alpha, cy_value = chen_yanagi_curve(psd, power, grid, config)
     sk = sk_root(power)
     margin = sk.rate_bits - c_2p
     return BoundReport(

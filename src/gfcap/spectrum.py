@@ -104,9 +104,11 @@ def psd_eval(spec: PsdSpec, theta):
     if np.any(np.abs(th) > math.pi + 1e-12):
         raise ValueError("theta outside [-pi, pi]")
     if spec.form == "ma":
-        acc = np.zeros(th.shape, dtype=complex)
-        for k, bk in enumerate(spec.coeffs):
-            acc += bk * np.exp(1j * k * th)
+        # Horner in z = e^{i theta}: one complex exp per point, none per tap
+        z = np.exp(1j * th)
+        acc = np.full(th.shape, spec.coeffs[-1], dtype=complex)
+        for bk in reversed(spec.coeffs[:-1]):
+            acc = acc * z + bk
         out = spec.sigma2 * np.abs(acc) ** 2
     elif spec.form == "white":
         out = np.full(th.shape, spec.level, dtype=float)
@@ -123,18 +125,14 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
 
 def _panel_edges(lo, hi, n_panels, singular_points, depth):
-    """Uniform edges plus geometric refinement toward each singular point."""
-    edges = list(np.linspace(lo, hi, n_panels + 1))
-    h = (hi - lo) / n_panels
-    for s in singular_points:
-        if lo < s < hi:
-            edges.append(s)
-        for k in range(depth + 1):
-            w = h * 0.5 ** k
-            for e in (s - w, s + w):
-                if lo < e < hi:
-                    edges.append(e)
-    return np.unique(np.asarray(edges, dtype=float))
+    """Uniform edges plus geometric refinement toward each singular point:
+    every s and s -+ h / 2^k (k = 0..depth) that lies inside (lo, hi)."""
+    s = np.asarray(singular_points, dtype=float)
+    w = (hi - lo) / n_panels * 0.5 ** np.arange(depth + 1)
+    extra = np.concatenate((s, (s[:, None] - w).ravel(),
+                            (s[:, None] + w).ravel()))
+    return np.unique(np.concatenate((np.linspace(lo, hi, n_panels + 1),
+                                     extra[(lo < extra) & (extra < hi)])))
 
 
 def _integrate_panels(f, edges):

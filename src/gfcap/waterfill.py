@@ -1,5 +1,12 @@
 """Water-filling over a noise spectrum: water level, optimal input spectrum,
-and nonfeedback capacity in bits per channel use."""
+and nonfeedback capacity in bits per channel use.
+
+The water level nu solves F(nu) = P for the filled power
+F(nu) = mean((nu - S)^+).  F is convex and nondecreasing, with slope
+F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi.  Both are evaluated in
+closed form from the exact crossings of S = nu, so Newton's method from
+nu0 = mean(S) + P, where F(nu0) >= P, falls monotonically onto the root.
+"""
 
 from __future__ import annotations
 
@@ -8,18 +15,24 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .spectrum import (
     DEFAULT_QUADRATURE,
+    ConvergenceError,
     PsdSpec,
     QuadratureConfig,
-    _bisect_scalar,
     mean_integral,
     psd_eval,
     psd_zeros,
 )
 
-_GL32_NODES, _GL32_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_EPS = np.finfo(float).eps
+_NEWTON_MAX_ITER = 100
+# Chebyshev roots farther than this from the real interval [-1, 1] cannot be
+# crossings.  Extra candidates are harmless (each band is decided by the
+# sign of S - nu at its midpoint), so the window is generous.
+_ROOT_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -32,74 +45,121 @@ class WaterfillSolution:
     band_crossings: tuple = ()
 
 
-@lru_cache(maxsize=64)
-def _scan(spec: PsdSpec):
-    grid = np.linspace(0.0, math.pi, 4097)
-    return grid, psd_eval(spec, grid)
+def _cosine_series(spec: PsdSpec):
+    """c with S(theta) = sum_k c[k] cos(k theta) = sum_k c[k] T_k(cos theta),
+    from the autocorrelation of the MA taps."""
+    b = np.asarray(spec.coeffs)
+    c = 2.0 * spec.sigma2 * np.correlate(b, b, mode="full")[len(b) - 1:]
+    c[0] *= 0.5
+    return c
 
 
-def _approx_crossings(grid, svals, nu):
-    """Linear-interpolated solutions of S(theta) = nu on the scan grid."""
-    d = svals - nu
-    sign_change = d[:-1] * d[1:] < 0
-    idx = np.nonzero(sign_change)[0]
-    if idx.size == 0:
-        return np.empty(0)
-    frac = d[idx] / (d[idx] - d[idx + 1])
-    return grid[idx] + frac * (grid[idx + 1] - grid[idx])
+def _ma_crossings(c, nu):
+    """Angles in [0, pi] where sum_k c[k] cos(k theta) = nu: real roots in
+    [-1, 1] of the Chebyshev series c - nu, polished by Newton in x."""
+    p = c.copy()
+    p[0] -= nu
+    x = chebyshev.chebroots(p)
+    x = np.clip(x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
+                       & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)], -1.0, 1.0)
+    dp = chebyshev.chebder(p)
+    for _ in range(2):
+        px = chebyshev.chebval(x, p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(x - px / chebyshev.chebval(x, dp), -1.0, 1.0)
+        better = np.abs(chebyshev.chebval(step, p)) < np.abs(px)
+        x = np.where(better, step, x)
+    return np.arccos(x)
 
 
-def _interval_edges(spec, crossings):
-    edges = [0.0, math.pi]
-    edges.extend(float(c) for c in crossings)
-    if spec.form == "samples":
-        edges.extend(np.linspace(0.0, math.pi, len(spec.values)))
-    return np.unique(np.asarray(edges))
+def _level_terms(spec: PsdSpec, nu: float):
+    """F(nu), F'(nu) and the band crossings of S = nu in (0, pi).
+
+    The breakpoints (0, pi, every crossing and, for samples, every node)
+    split [0, pi] into pieces on which S - nu keeps one sign; the sign at a
+    piece's midpoint decides whether it is filled, so a tangent or spurious
+    root cannot flip a band.  Each filled piece is integrated exactly.
+    """
+    if spec.form == "white":
+        gap = nu - spec.level
+        return max(gap, 0.0), float(gap > 0.0), ()
+    if spec.form == "ma":
+        c = _cosine_series(spec)
+        k = np.arange(1, len(c))
+        edges = np.unique(np.concatenate(([0.0, math.pi],
+                                          _ma_crossings(c, nu))))
+        mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+        cos_mid = np.cos(np.outer(mids, k))
+        filled = c[0] + cos_mid @ c[1:] < nu
+        # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
+        # differenced over each piece as 2 cos(k mid) sin(k half) so that
+        # a narrow band does not lose its digits to cancellation
+        pieces = (2.0 * (nu - c[0]) * half
+                  - (cos_mid * np.sin(np.outer(half, k))) @ (2.0 * c[1:] / k))
+    else:
+        values = np.asarray(spec.values)
+        nodes = np.linspace(0.0, math.pi, len(values))
+        a, b = values[:-1], values[1:]
+        straddle = (np.minimum(a, b) < nu) & (nu < np.maximum(a, b))
+        frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
+        cross = nodes[:-1][straddle] + frac * np.diff(nodes)[straddle]
+        edges = np.unique(np.concatenate((nodes, cross)))
+        s = np.interp(edges, nodes, values)
+        # S is linear on each piece: its midpoint value is the mean of the
+        # ends, and the trapezoid rule is exact
+        gap = nu - 0.5 * (s[:-1] + s[1:])
+        filled = gap > 0.0
+        pieces = np.diff(edges) * gap
+    power = float(np.sum(pieces[filled])) / math.pi
+    slope = float(np.sum(np.diff(edges)[filled])) / math.pi
+    flips = edges[1:-1][filled[:-1] != filled[1:]]
+    return power, slope, tuple(float(t) for t in flips)
 
 
-def _filled_power(spec, nu, edges):
-    """Mean of (nu - S)^+ over [-pi, pi], exploiting even symmetry."""
-    lo, hi = edges[:-1], edges[1:]
-    keep = (hi - lo) > 1e-15
-    c = 0.5 * (lo + hi)[keep]
-    h = 0.5 * (hi - lo)[keep]
-    pts = (c[:, None] + h[:, None] * _GL32_NODES[None, :]).ravel()
-    wts = (h[:, None] * _GL32_WEIGHTS[None, :]).ravel()
-    y = np.maximum(nu - psd_eval(spec, pts), 0.0)
-    return float(wts @ y) / math.pi
+def _mean_and_bound(spec: PsdSpec):
+    """mean(S), and a bound on max S that also bounds the terms summed
+    into F(nu): sigma2 * (sum |b_k|)^2 for MA forms."""
+    if spec.form == "white":
+        return spec.level, spec.level
+    if spec.form == "ma":
+        b = np.asarray(spec.coeffs)
+        return (spec.sigma2 * float(b @ b),
+                spec.sigma2 * float(np.abs(b).sum()) ** 2)
+    v = np.asarray(spec.values)
+    return float((v.sum() - 0.5 * (v[0] + v[-1])) / (len(v) - 1)), float(v.max())
 
 
 def _solve_level(spec: PsdSpec, power: float):
-    """Bisection on nu: the filled power is continuous and strictly
-    increasing in nu above min S, so the bracket [min S, max S + P] always
-    converges."""
+    """Newton's method on the convex filled power F from nu0 = mean(S) + P.
+
+    F(nu0) >= mean(nu0 - S) = P, and every tangent of a convex F lies below
+    it, so the iterates decrease monotonically onto the root without a
+    bracket.  The rounding error of F is a few ulps of (nu + max S) times
+    F', so its root is only determined to a few ulps of nu + max S: the
+    solve stops once the step falls to that, or once the computed excess
+    F(nu) - P is no longer positive.  An unconverged nu is never returned.
+    """
     if power <= 0:
         raise ValueError("power budget must be positive")
-    grid, svals = _scan(spec)
-    smin, smax = float(svals.min()), float(svals.max())
-    lo, hi = smin, smax + power
-    width_target = 1e-12 * (smax + power)
-    while hi - lo > width_target:
-        nu = 0.5 * (lo + hi)
-        edges = _interval_edges(spec, _approx_crossings(grid, svals, nu))
-        if _filled_power(spec, nu, edges) < power:
-            lo = nu
-        else:
-            hi = nu
-    nu = 0.5 * (lo + hi)
-    # polish the crossing locations for use as quadrature edges downstream
-    crossings = []
-    h = grid[1] - grid[0]
-    for x in _approx_crossings(grid, svals, nu):
-        crossings.append(_bisect_scalar(
-            lambda th: psd_eval(spec, th) - nu,
-            max(x - h, 0.0), min(x + h, math.pi)))
-    return nu, tuple(sorted(crossings))
+    mean, bound = _mean_and_bound(spec)
+    nu = mean + power
+    for _ in range(_NEWTON_MAX_ITER):
+        filled, slope, crossings = _level_terms(spec, nu)
+        excess = filled - power
+        if excess <= 0.0:
+            return nu, crossings
+        step = excess / slope
+        if step <= 4.0 * _EPS * (nu + bound):
+            return nu, crossings
+        nu -= step
+    raise ConvergenceError(
+        f"water-level Newton solve did not converge in {_NEWTON_MAX_ITER} "
+        f"iterations (last level {nu!r})")
 
 
-def water_level(psd: PsdSpec, power: float,
-                config: QuadratureConfig | None = None) -> float:
-    """Water level nu with mean((nu - S_Z)^+) = power."""
+def water_level(psd: PsdSpec, power: float) -> float:
+    """Water level nu with mean((nu - S_Z)^+) = power; raises
+    ConvergenceError if the Newton solve does not converge."""
     nu, _ = _solve_level(psd, power)
     return nu
 

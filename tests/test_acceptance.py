@@ -22,14 +22,13 @@ from gfcap.simulator import (
     variance_recursion,
 )
 from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, psd_zeros, sample_noise_path
-from gfcap.waterfill import _capacity_cached, _scan, nonfeedback_capacity
+from gfcap.waterfill import _capacity_cached, nonfeedback_capacity
 
 PI = math.pi
 
 
 def clear_caches():
     _capacity_cached.cache_clear()
-    _scan.cache_clear()
     psd_zeros.cache_clear()
 
 

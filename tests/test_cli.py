@@ -174,6 +174,11 @@ class TestExitCodes:
         assert code == 3
         assert "converge" in err
 
+    def test_counterexample_honours_tol(self, capsys):
+        code, _, err = run(capsys, "counterexample", "--tol", "1e-20")
+        assert code == 3
+        assert "converge" in err
+
 
 class TestFormatAgreement:
     @pytest.mark.parametrize("argv", [

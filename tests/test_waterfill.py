@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
 
-from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, psd_eval
+from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, _panel_edges, psd_eval
 from gfcap.waterfill import nonfeedback_capacity, water_level
 
 PI = math.pi
@@ -118,3 +119,167 @@ class TestShapeProperties:
     def test_capacity_nonnegative(self):
         for p in (1e-3, 0.1, 1.0, 10.0):
             assert nonfeedback_capacity(PAPER_CHANNEL, p).capacity_bits >= 0.0
+
+
+# ---- exact-breakpoint Newton solve against independent oracles ----------
+
+EPS = np.finfo(float).eps
+POWERS = np.logspace(-2, 4, 7)
+
+
+def min_phase_taps(rng, q):
+    """Monic minimum-phase MA(q) taps from random roots inside the disk.
+    The root moduli stay below (1 - d) / (1 + d) with d^(2q) = 1e-4, so the
+    spectrum keeps min / max >= 1e-4 and the capacity quadrature, which is
+    not under test here, converges."""
+    d = 1e-4 ** (0.5 / q)
+    rmax = (1.0 - d) / (1.0 + d)
+    roots = []
+    while len(roots) < q:
+        r = rng.uniform(0.0, rmax)
+        if len(roots) <= q - 2 and rng.uniform() < 0.5:
+            z = r * np.exp(1j * rng.uniform(0.1, PI - 0.1))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(r * rng.choice((-1.0, 1.0)))
+    return np.real(np.poly(roots))
+
+
+def random_spectra():
+    rng = np.random.default_rng(2024)
+    cases = [PsdSpec.white(float(10 ** rng.uniform(-1, 1))) for _ in range(3)]
+    cases += [PsdSpec.ma((1.0, float(0.95 * (1.0 - rng.uniform()))),
+                         float(10 ** rng.uniform(-0.3, 0.3)))
+              for _ in range(4)]
+    cases += [PsdSpec.ma(min_phase_taps(rng, int(q)))
+              for q in rng.integers(2, 17, size=5)]
+    return cases
+
+
+def direct_psd(spec):
+    """S(theta) from the spec's definition, sharing no code with gfcap."""
+    if spec.form == "white":
+        return lambda th: spec.level
+    b = np.asarray(spec.coeffs)
+    return lambda th: spec.sigma2 * abs(np.polyval(b[::-1], np.exp(1j * th))) ** 2
+
+
+def oracle_level(spec, power):
+    """scipy brentq on the quad-integrated filled power.  S is monotone
+    between neighbouring nodes of a grid that includes its polished local
+    extrema, so each crossing of S = nu is bracketed by two nodes and
+    located by brentq; each filled band is then integrated by quad."""
+    s = direct_psd(spec)
+    grid = np.linspace(0.0, PI, 32 * (len(spec.coeffs or ()) + 1) + 1)
+    vals = np.array([s(t) for t in grid])
+    turns = []
+    for i in range(1, len(grid) - 1):
+        for sign in (1.0, -1.0):
+            if sign * vals[i] <= min(sign * vals[i - 1], sign * vals[i + 1]):
+                turns.append(minimize_scalar(
+                    lambda t: sign * s(t), bounds=(grid[i - 1], grid[i + 1]),
+                    method="bounded", options={"xatol": 1e-14}).x)
+    nodes = np.concatenate([grid, turns])
+    order = np.argsort(nodes)
+    nodes = nodes[order]
+    vals = np.concatenate([vals, [s(t) for t in turns]])[order]
+
+    def bands(nu):
+        edges, inside = [], vals < nu
+        for i in np.flatnonzero(inside[1:] != inside[:-1]):
+            edges.append(brentq(lambda t: s(t) - nu, nodes[i], nodes[i + 1],
+                                xtol=1e-15, rtol=1e-15))
+        edges = [0.0] + edges + [PI]
+        return [(a, b) for a, b in zip(edges[:-1], edges[1:])
+                if s(0.5 * (a + b)) < nu]
+
+    def excess(nu):
+        return sum(quad(lambda t: nu - s(t), a, b, epsabs=0.0, epsrel=1e-13,
+                        limit=200)[0] for a, b in bands(nu)) / PI - power
+
+    return brentq(excess, float(vals.min()), float(vals.max()) + 2 * power,
+                  xtol=1e-300, rtol=1e-15, maxiter=200)
+
+
+@pytest.mark.parametrize("spec", random_spectra(), ids=lambda s: (
+    f"ma{len(s.coeffs) - 1}" if s.coeffs else "white"))
+def test_newton_level_against_oracles(spec):
+    s = direct_psd(spec)
+    smax = max(s(t) for t in np.linspace(0.0, PI, 1025))
+    for power in POWERS:
+        sol = nonfeedback_capacity(spec, float(power))
+        nu = sol.water_level
+        assert nu == pytest.approx(oracle_level(spec, power), rel=1e-12, abs=0)
+        assert sol.power_residual <= 1e-10 * max(1.0, power)
+        for theta in sol.band_crossings:
+            assert 0.0 < theta < PI
+            assert abs(s(theta) - nu) <= 1e-12 * max(nu, smax)
+
+
+def test_ma80_power_residual():
+    spec = PsdSpec.ma(np.random.default_rng(80).standard_normal(81))
+    sol = nonfeedback_capacity(spec, 1.0)
+    assert sol.power_residual <= 1e-10
+
+
+def test_paper_channel_level_is_exact():
+    assert water_level(PAPER_CHANNEL, 2.0) == 4.0
+    assert water_level(PAPER_CHANNEL, 50.0) == 52.0
+
+
+def test_samples_level_is_exact():
+    # a tent with peak 2 at pi/2: F(nu) = nu^2 / 4 for nu <= 2
+    spec = PsdSpec.from_samples([0.0, 2.0, 0.0])
+    for power in (0.04, 0.25, 0.81):
+        assert water_level(spec, power) == pytest.approx(
+            2.0 * math.sqrt(power), rel=1e-14)
+    sol = nonfeedback_capacity(spec, 0.25)
+    assert sol.band_crossings == pytest.approx((PI / 4, 3 * PI / 4), rel=1e-15)
+
+
+# ---- reference loops for the vectorised spectrum code --------------------
+
+def panel_edges_loop(lo, hi, n_panels, singular_points, depth):
+    edges = list(np.linspace(lo, hi, n_panels + 1))
+    h = (hi - lo) / n_panels
+    for s in singular_points:
+        if lo < s < hi:
+            edges.append(s)
+        for k in range(depth + 1):
+            w = h * 0.5 ** k
+            for e in (s - w, s + w):
+                if lo < e < hi:
+                    edges.append(e)
+    return np.unique(np.asarray(edges, dtype=float))
+
+
+def test_panel_edges_match_loop_bit_for_bit():
+    rng = np.random.default_rng(7)
+    sets = [(), (PI,), (-PI, 0.0, PI), (1.0, 1.0), (2.5, -4.0)]
+    sets += [tuple(np.sort(rng.uniform(-PI, PI, n))) for n in (1, 3, 8)]
+    for n_panels in (8, 64, 1024):
+        for depth in (0, 5, 48):
+            for sing in sets:
+                want = panel_edges_loop(-PI, PI, n_panels, sing, depth)
+                got = _panel_edges(-PI, PI, n_panels, sing, depth)
+                assert np.array_equal(got, want)
+
+
+def psd_eval_loop(spec, th):
+    acc = np.zeros(th.shape, dtype=complex)
+    for k, bk in enumerate(spec.coeffs):
+        acc += bk * np.exp(1j * k * th)
+    return spec.sigma2 * np.abs(acc) ** 2
+
+
+def test_horner_psd_eval_matches_per_tap_sum():
+    rng = np.random.default_rng(11)
+    th = np.linspace(-PI, PI, 2001)
+    for q in range(17):
+        b = rng.standard_normal(q + 1) * 10 ** rng.uniform(-2, 2)
+        spec = PsdSpec.ma(b, float(10 ** rng.uniform(-1, 1)))
+        bound = 8 * EPS * spec.sigma2 * np.sum(np.abs(b)) ** 2
+        assert np.max(np.abs(psd_eval(spec, th) - psd_eval_loop(spec, th))) \
+            <= bound
+        assert psd_eval(spec, 0.3) == pytest.approx(
+            float(psd_eval_loop(spec, np.asarray(0.3))), abs=bound)
