@@ -82,6 +82,11 @@ PAPER_CHANNEL = PsdSpec.ma((1.0, 1.0), 1.0)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Composite Gauss-Legendre settings: panels on [-pi, pi] at the first
+    level, and the absolute tolerance two successive levels must meet.
+    singularity_refinement_depth is used by mean_integral only; the
+    water-filling capacity integrates no singularity."""
+
     panel_count: int = 64
     singularity_refinement_depth: int = 48
     abs_tolerance: float = 1e-10
@@ -149,6 +154,16 @@ def _integrate_panels(f, edges):
     return float(wts @ y)
 
 
+def _check_floor(tol, *values):
+    """Raise ConvergenceError when tol is below the roundoff floor of the
+    values: a tolerance below roundoff can never be certified honestly."""
+    floor = 4.0 * np.finfo(float).eps * max(max(abs(v) for v in values), 1.0)
+    if tol < floor:
+        raise ConvergenceError(
+            f"abs_tolerance {tol:g} is below the achievable roundoff floor "
+            f"{floor:.2e}")
+
+
 def mean_integral(f, config: QuadratureConfig | None = None, singular_points=()):
     """Compute (1/2pi) * integral of f over [-pi, pi].
 
@@ -171,12 +186,7 @@ def mean_integral(f, config: QuadratureConfig | None = None, singular_points=())
         edges = _panel_edges(-math.pi, math.pi, m, sorted(sing),
                              cfg.singularity_refinement_depth)
         val = _integrate_panels(f, edges) / TWO_PI
-        # a tolerance below roundoff can never be certified honestly
-        floor = 4.0 * np.finfo(float).eps * max(abs(val), 1.0)
-        if cfg.abs_tolerance < floor:
-            raise ConvergenceError(
-                f"abs_tolerance {cfg.abs_tolerance:g} is below the "
-                f"achievable roundoff floor {floor:.2e}")
+        _check_floor(cfg.abs_tolerance, val)
         if prev is not None and abs(val - prev) <= cfg.abs_tolerance:
             return val
         prev = val

@@ -6,6 +6,22 @@ F(nu) = mean((nu - S)^+).  F is convex and nondecreasing, with slope
 F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi.  Both are evaluated in
 closed form from the exact crossings of S = nu, so Newton's method from
 nu0 = mean(S) + P, where F(nu0) >= P, falls monotonically onto the root.
+
+The capacity mean(0.5 log2(max(S, nu) / S)) is
+(|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
+and no quadrature ever sees the log singularity at a zero of S:
+
+- white: C = 0.5 log2(nu / N);
+- samples: S is linear between the nodes and crossings, and ln S has an
+  antiderivative on each filled piece;
+- ma: Jensen's formula gives mean ln S from the roots of
+  B(z) = sum_k b_k z^k, and int_F ln S = pi mean ln S - int_U ln S, where
+  S >= nu > 0 on the unfilled set U, so int_U ln S is smooth.
+
+One composite Gauss-Legendre pass over [0, pi], whose panel edges include
+the solve's breakpoints, integrates ln S over U and, as a check on the
+solve that shares none of its code, nu - S over F: the power residual.
+A spectrum that vanishes on a band has infinite capacity and is rejected.
 """
 
 from __future__ import annotations
@@ -18,17 +34,21 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .spectrum import (
+    _GL_NODES,
+    _GL_WEIGHTS,
+    _check_floor,
     DEFAULT_QUADRATURE,
     ConvergenceError,
     PsdSpec,
     QuadratureConfig,
-    mean_integral,
     psd_eval,
-    psd_zeros,
 )
 
 _EPS = np.finfo(float).eps
+_LN2 = math.log(2.0)
 _NEWTON_MAX_ITER = 100
+_MAX_LEVELS = 8
+_HALF_TURN = np.array([0.0, math.pi])
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
 # crossings.  Extra candidates are harmless (each band is decided by the
 # sign of S - nu at its midpoint), so the window is generous.
@@ -54,66 +74,80 @@ def _cosine_series(spec: PsdSpec):
     return c
 
 
-def _ma_crossings(c, nu):
+def _ma_crossings(c, dc, nu):
     """Angles in [0, pi] where sum_k c[k] cos(k theta) = nu: real roots in
-    [-1, 1] of the Chebyshev series c - nu, polished by Newton in x."""
+    [-1, 1] of the Chebyshev series c - nu, polished by Newton in x.  dc is
+    the derivative of c, which is also that of c - nu."""
     p = c.copy()
     p[0] -= nu
     x = chebyshev.chebroots(p)
     x = np.clip(x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
                        & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)], -1.0, 1.0)
-    dp = chebyshev.chebder(p)
     for _ in range(2):
         px = chebyshev.chebval(x, p)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(x - px / chebyshev.chebval(x, dp), -1.0, 1.0)
+            step = np.clip(x - px / chebyshev.chebval(x, dc), -1.0, 1.0)
         better = np.abs(chebyshev.chebval(step, p)) < np.abs(px)
         x = np.where(better, step, x)
     return np.arccos(x)
 
 
-def _level_terms(spec: PsdSpec, nu: float):
-    """F(nu), F'(nu) and the band crossings of S = nu in (0, pi).
+def _level_terms(spec: PsdSpec):
+    """The map nu -> (F(nu), F'(nu), edges, filled) for one spectrum, with
+    everything that depends only on the spectrum computed once, here.
 
-    The breakpoints (0, pi, every crossing and, for samples, every node)
-    split [0, pi] into pieces on which S - nu keeps one sign; the sign at a
-    piece's midpoint decides whether it is filled, so a tangent or spurious
+    The breakpoints `edges` (0, pi, every crossing and, for samples, every
+    node) split [0, pi] into pieces on which S - nu keeps one sign;
+    filled[i] is the sign at piece i's midpoint, so a tangent or spurious
     root cannot flip a band.  Each filled piece is integrated exactly.
     """
     if spec.form == "white":
-        gap = nu - spec.level
-        return max(gap, 0.0), float(gap > 0.0), ()
+        def terms(nu):
+            gap = nu - spec.level
+            return max(gap, 0.0), float(gap > 0.0), _HALF_TURN, \
+                np.array([gap > 0.0])
+        return terms
     if spec.form == "ma":
         c = _cosine_series(spec)
+        dc = chebyshev.chebder(c)
         k = np.arange(1, len(c))
-        edges = np.unique(np.concatenate(([0.0, math.pi],
-                                          _ma_crossings(c, nu))))
-        mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-        cos_mid = np.cos(np.outer(mids, k))
-        filled = c[0] + cos_mid @ c[1:] < nu
-        # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
-        # differenced over each piece as 2 cos(k mid) sin(k half) so that
-        # a narrow band does not lose its digits to cancellation
-        pieces = (2.0 * (nu - c[0]) * half
-                  - (cos_mid * np.sin(np.outer(half, k))) @ (2.0 * c[1:] / k))
+        weights = 2.0 * c[1:] / k
+
+        def pieces(nu):
+            edges = np.unique(np.concatenate(([0.0, math.pi],
+                                              _ma_crossings(c, dc, nu))))
+            mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
+            cos_mid = np.cos(np.outer(mids, k))
+            filled = c[0] + cos_mid @ c[1:] < nu
+            # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
+            # differenced over each piece as 2 cos(k mid) sin(k half) so
+            # that a narrow band does not lose its digits to cancellation
+            areas = (2.0 * (nu - c[0]) * half
+                     - (cos_mid * np.sin(np.outer(half, k))) @ weights)
+            return edges, filled, areas
     else:
         values = np.asarray(spec.values)
         nodes = np.linspace(0.0, math.pi, len(values))
         a, b = values[:-1], values[1:]
-        straddle = (np.minimum(a, b) < nu) & (nu < np.maximum(a, b))
-        frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
-        cross = nodes[:-1][straddle] + frac * np.diff(nodes)[straddle]
-        edges = np.unique(np.concatenate((nodes, cross)))
-        s = np.interp(edges, nodes, values)
-        # S is linear on each piece: its midpoint value is the mean of the
-        # ends, and the trapezoid rule is exact
-        gap = nu - 0.5 * (s[:-1] + s[1:])
-        filled = gap > 0.0
-        pieces = np.diff(edges) * gap
-    power = float(np.sum(pieces[filled])) / math.pi
-    slope = float(np.sum(np.diff(edges)[filled])) / math.pi
-    flips = edges[1:-1][filled[:-1] != filled[1:]]
-    return power, slope, tuple(float(t) for t in flips)
+        lo, hi, step = np.minimum(a, b), np.maximum(a, b), np.diff(nodes)
+
+        def pieces(nu):
+            straddle = (lo < nu) & (nu < hi)
+            frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
+            cross = nodes[:-1][straddle] + frac * step[straddle]
+            edges = np.unique(np.concatenate((nodes, cross)))
+            s = np.interp(edges, nodes, values)
+            # S is linear on each piece: its midpoint value is the mean of
+            # the ends, and the trapezoid rule is exact
+            gap = nu - 0.5 * (s[:-1] + s[1:])
+            return edges, gap > 0.0, np.diff(edges) * gap
+
+    def terms(nu):
+        edges, filled, areas = pieces(nu)
+        return (float(np.sum(areas[filled])) / math.pi,
+                float(np.sum(np.diff(edges)[filled])) / math.pi,
+                edges, filled)
+    return terms
 
 
 def _mean_and_bound(spec: PsdSpec):
@@ -130,7 +164,8 @@ def _mean_and_bound(spec: PsdSpec):
 
 
 def _solve_level(spec: PsdSpec, power: float):
-    """Newton's method on the convex filled power F from nu0 = mean(S) + P.
+    """Newton's method on the convex filled power F from nu0 = mean(S) + P;
+    returns nu with the breakpoints and filled flags of its pieces.
 
     F(nu0) >= mean(nu0 - S) = P, and every tangent of a convex F lies below
     it, so the iterates decrease monotonically onto the root without a
@@ -141,16 +176,17 @@ def _solve_level(spec: PsdSpec, power: float):
     """
     if power <= 0:
         raise ValueError("power budget must be positive")
+    terms = _level_terms(spec)
     mean, bound = _mean_and_bound(spec)
     nu = mean + power
     for _ in range(_NEWTON_MAX_ITER):
-        filled, slope, crossings = _level_terms(spec, nu)
-        excess = filled - power
+        filled_power, slope, edges, filled = terms(nu)
+        excess = filled_power - power
         if excess <= 0.0:
-            return nu, crossings
+            return nu, edges, filled
         step = excess / slope
         if step <= 4.0 * _EPS * (nu + bound):
-            return nu, crossings
+            return nu, edges, filled
         nu -= step
     raise ConvergenceError(
         f"water-level Newton solve did not converge in {_NEWTON_MAX_ITER} "
@@ -160,30 +196,129 @@ def _solve_level(spec: PsdSpec, power: float):
 def water_level(psd: PsdSpec, power: float) -> float:
     """Water level nu with mean((nu - S_Z)^+) = power; raises
     ConvergenceError if the Newton solve does not converge."""
-    nu, _ = _solve_level(psd, power)
-    return nu
+    return _solve_level(psd, power)[0]
+
+
+def _reject_vanishing(spec: PsdSpec):
+    """A spectrum that is zero on a band gives infinite capacity."""
+    if spec.form == "white":
+        vanishes = spec.level == 0.0
+    elif spec.form == "ma":
+        vanishes = not any(spec.coeffs)
+    else:
+        v = np.asarray(spec.values)
+        vanishes = bool(np.any((v[:-1] == 0.0) & (v[1:] == 0.0)))
+    if vanishes:
+        raise ValueError("the noise spectrum vanishes on a band, so the "
+                         "capacity is infinite")
+
+
+@lru_cache(maxsize=256)
+def _jensen_mean_log(spec: PsdSpec, tol: float):
+    """mean ln S over [-pi, pi] by Jensen's formula,
+    ln sigma2 + 2 ln|b_lead| + 2 sum_k ln max(1, |z_k|) over the roots z_k
+    of B.  Cached per spectrum: bound curves and power sweeps solve one
+    spectrum at many powers.
+
+    A computed root z is within dz = (|B(z)| + rounding of B(z)) / |B'(z)|
+    of a true one, to first order.  Only a root within dz of the unit
+    circle may lie on the other side of it and so move the sum, by at most
+    dz; the sum of those dz, in bits, must not exceed tol.
+    """
+    b = np.trim_zeros(np.asarray(spec.coeffs), "b")
+    poly = b[::-1]
+    z = np.roots(poly)
+    r = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dz = ((np.abs(np.polyval(poly, z))
+               + 2 * len(b) * _EPS * np.polyval(np.abs(poly), r))
+              / np.abs(np.polyval(np.polyder(poly), z)))
+    bound = float(np.sum(dz[np.abs(r - 1.0) <= dz])) / _LN2
+    if not bound <= tol:
+        raise ConvergenceError(
+            f"capacity error bound {bound:.2e} from spectral zeros on or "
+            f"near the unit circle exceeds tolerance {tol:g}")
+    return (math.log(spec.sigma2) + 2.0 * math.log(abs(b[-1]))
+            + 2.0 * float(np.sum(np.log(np.maximum(r, 1.0)))))
+
+
+def _filled_log_samples(spec: PsdSpec, edges, filled):
+    """int_F ln S for a samples spectrum: on a piece where S runs linearly
+    from a to b, the mean of ln S is ln m + g(t), with m = (a + b) / 2,
+    t = (b - a) / (a + b) and
+    g(t) = ((1+t) ln(1+t) - (1-t) ln(1-t)) / (2t) - 1, where 0 ln 0 = 0.
+    g is replaced by its series -t^2/6 - t^4/20 near t = 0, where the
+    quotient cancels."""
+    nodes = np.linspace(0.0, math.pi, len(spec.values))
+    s = np.interp(edges, nodes, np.asarray(spec.values))
+    a, b = s[:-1][filled], s[1:][filled]
+    m, t = 0.5 * (a + b), (b - a) / (a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = np.where(t > -1.0, (1.0 + t) * np.log1p(t), 0.0)
+        down = np.where(t < 1.0, (1.0 - t) * np.log1p(-t), 0.0)
+        g = np.where(np.abs(t) < 1e-4, -t * t * (1.0 / 6.0 + t * t / 20.0),
+                     (up - down) / (2.0 * t) - 1.0)
+    return float(np.diff(edges)[filled] @ (np.log(m) + g))
+
+
+def _band_integrals(psd: PsdSpec, nu, edges, filled, n_panels):
+    """(int_U ln S, int_F (nu - S)) / pi by 16-point Gauss-Legendre on the
+    panels of [0, pi] cut at n_panels uniform steps and at every edge, from
+    one psd_eval."""
+    grid = np.unique(np.concatenate(
+        (np.linspace(0.0, math.pi, n_panels + 1), edges)))
+    mid, half = 0.5 * (grid[:-1] + grid[1:]), 0.5 * np.diff(grid)
+    in_f = filled[np.searchsorted(edges, mid) - 1]
+    s = psd_eval(psd, mid[:, None] + half[:, None] * _GL_NODES)
+    w = half[:, None] * _GL_WEIGHTS
+    return (float(np.sum(w[~in_f] * np.log(s[~in_f]))) / math.pi,
+            float(np.sum(w[in_f] * (nu - s[in_f]))) / math.pi)
 
 
 @lru_cache(maxsize=1024)
 def _capacity_cached(psd, power, config):
-    nu, crossings = _solve_level(psd, power)
-    zeros = psd_zeros(psd)
-    singular = tuple(zeros) + crossings
-
-    def gain(th):
-        sz = np.maximum(psd_eval(psd, th), 1e-300)
-        return 0.5 * np.log2(np.maximum(sz, nu) / sz)
-
-    capacity = mean_integral(gain, config, singular_points=singular)
-    residual = abs(mean_integral(
-        lambda th: np.maximum(nu - psd_eval(psd, th), 0.0),
-        config, singular_points=crossings) - power)
-    return nu, crossings, capacity, residual
+    _reject_vanishing(psd)
+    tol = config.abs_tolerance
+    nu, edges, filled = _solve_level(psd, power)
+    crossings = tuple(float(t) for t in edges[1:-1][filled[:-1] != filled[1:]])
+    if psd.form == "white":
+        capacity = 0.5 * math.log2(nu / psd.level)
+        _check_floor(tol, capacity)
+        return nu, crossings, capacity, abs(nu - psd.level - power)
+    width = float(np.sum(np.diff(edges)[filled])) / math.pi
+    if psd.form == "ma":
+        mean_log = _jensen_mean_log(psd, tol)
+    else:
+        filled_log = _filled_log_samples(psd, edges, filled) / math.pi
+    # panels double from panel_count / 2 on the half-circle, the density
+    # of panel_count on [-pi, pi], until two levels agree on both numbers
+    n_panels, prev = config.panel_count // 2, None
+    for _ in range(_MAX_LEVELS):
+        unfilled_log, filled_power = _band_integrals(psd, nu, edges, filled,
+                                                     n_panels)
+        if psd.form == "ma":
+            filled_log = mean_log - unfilled_log
+        capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
+        _check_floor(tol, capacity, filled_power)
+        if prev is not None and abs(capacity - prev[0]) <= tol \
+                and abs(filled_power - prev[1]) <= tol:
+            return nu, crossings, capacity, abs(filled_power - power)
+        prev = capacity, filled_power
+        n_panels *= 2
+    raise ConvergenceError(
+        f"capacity quadrature did not reach tolerance {tol:g} after "
+        f"refinement up to {n_panels // 2} panels")
 
 
 def nonfeedback_capacity(psd: PsdSpec, power: float,
                          config: QuadratureConfig | None = None) -> WaterfillSolution:
-    """Water-filling solution and capacity mean(0.5*log2(max(S, nu)/S))."""
+    """Water-filling solution and capacity mean(0.5*log2(max(S, nu)/S)).
+
+    Raises ValueError for a spectrum that vanishes on a band (white level
+    0, all-zero taps, two adjacent zero samples), whose capacity is
+    infinite, and ConvergenceError when the stated tolerance cannot be
+    met, e.g. for an MA spectrum with multiple zeros on the unit circle.
+    """
     cfg = config or DEFAULT_QUADRATURE
     nu, crossings, capacity, residual = _capacity_cached(psd, float(power), cfg)
 

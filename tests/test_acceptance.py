@@ -21,15 +21,19 @@ from gfcap.simulator import (
     simulate_transmission,
     variance_recursion,
 )
-from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, psd_zeros, sample_noise_path
-from gfcap.waterfill import _capacity_cached, nonfeedback_capacity
+from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, sample_noise_path
+from gfcap.waterfill import (
+    _capacity_cached,
+    _jensen_mean_log,
+    nonfeedback_capacity,
+)
 
 PI = math.pi
 
 
 def clear_caches():
     _capacity_cached.cache_clear()
-    psd_zeros.cache_clear()
+    _jensen_mean_log.cache_clear()
 
 
 def ok(n, message):

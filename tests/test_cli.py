@@ -43,6 +43,13 @@ class TestCapacityCommand:
         assert code == 0
         assert doc["outputs"]["capacity_bits"] == pytest.approx(1.0, abs=1e-9)
 
+    def test_white_at_high_power(self, capsys):
+        code, doc, _ = run_json(capsys, "capacity", "--psd", "white:1",
+                                "--power", "1e6")
+        assert code == 0
+        assert doc["outputs"]["capacity_bits"] == pytest.approx(
+            0.5 * math.log2(1.0 + 1e6), abs=1e-12)
+
 
 class TestSkRateCommand:
     def test_unit_power(self, capsys):
@@ -172,6 +179,34 @@ class TestExitCodes:
         code, _, err = run(capsys, "capacity", "--power", "2",
                            "--tol", "1e-30")
         assert code == 3
+        assert "converge" in err
+
+    @pytest.mark.parametrize("psd", [
+        "white:0",
+        {"type": "ma", "coeffs": [0.0]},
+        {"type": "samples", "values": [1.0, 0.0, 0.0, 1.0]},
+    ], ids=["white_zero", "ma_zero_taps", "samples_zero_band"])
+    def test_vanishing_spectrum_is_invalid(self, capsys, tmp_path, psd):
+        if isinstance(psd, dict):
+            path = tmp_path / "psd.json"
+            path.write_text(json.dumps(psd))
+            psd = str(path)
+        code, out, err = run(capsys, "capacity", "--psd", psd,
+                             "--power", "1")
+        assert code == 2
+        assert out == ""
+        assert "infinite" in err
+
+    @pytest.mark.parametrize("coeffs", [[1.0, 2.0, 1.0],
+                                        [1.0, 3.0, 3.0, 1.0]])
+    def test_multiple_unit_circle_zeros_do_not_converge(self, capsys,
+                                                        tmp_path, coeffs):
+        path = tmp_path / "psd.json"
+        path.write_text(json.dumps({"type": "ma", "coeffs": coeffs}))
+        code, out, err = run(capsys, "capacity", "--psd", str(path),
+                             "--power", "1")
+        assert code == 3
+        assert out == ""
         assert "converge" in err
 
     def test_counterexample_honours_tol(self, capsys):

@@ -5,7 +5,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
-from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, _panel_edges, psd_eval
+from gfcap import spectrum, waterfill
+from gfcap.spectrum import (
+    PAPER_CHANNEL,
+    ConvergenceError,
+    PsdSpec,
+    _panel_edges,
+    psd_eval,
+)
 from gfcap.waterfill import nonfeedback_capacity, water_level
 
 PI = math.pi
@@ -53,7 +60,7 @@ class TestWaterLevel:
 class TestCapacity:
     def test_paper_channel_one_bit_at_p2(self):
         sol = nonfeedback_capacity(PAPER_CHANNEL, 2.0)
-        assert sol.capacity_bits == pytest.approx(1.0, abs=1e-6)
+        assert abs(sol.capacity_bits - 1.0) <= 1e-14
         assert sol.power_residual <= 1e-10
 
     def test_awgn_closed_form(self):
@@ -79,6 +86,17 @@ class TestCapacity:
         # frozen after confirming against the oracle: C(1) = 0.7834378815
         assert sol.capacity_bits == pytest.approx(ref, abs=1e-8)
         assert sol.capacity_bits == pytest.approx(0.7834378815, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", [
+        PsdSpec.white(0.0),
+        PsdSpec.ma((0.0,)),
+        PsdSpec.ma((0.0, 0.0, 0.0), 2.0),
+        PsdSpec.from_samples([1.0, 0.0, 0.0, 1.0]),
+    ], ids=["white_zero", "ma_zero", "ma_zero_taps", "samples_zero_band"])
+    def test_vanishing_spectrum_is_rejected(self, spec):
+        # the capacity is infinite; a clamp must not turn it into a number
+        with pytest.raises(ValueError, match="infinite"):
+            nonfeedback_capacity(spec, 1.0)
 
 
 class TestWaterConsistency:
@@ -164,28 +182,46 @@ def direct_psd(spec):
     return lambda th: spec.sigma2 * abs(np.polyval(b[::-1], np.exp(1j * th))) ** 2
 
 
-def oracle_level(spec, power):
-    """scipy brentq on the quad-integrated filled power.  S is monotone
-    between neighbouring nodes of a grid that includes its polished local
-    extrema, so each crossing of S = nu is bracketed by two nodes and
-    located by brentq; each filled band is then integrated by quad."""
-    s = direct_psd(spec)
-    grid = np.linspace(0.0, PI, 32 * (len(spec.coeffs or ()) + 1) + 1)
-    vals = np.array([s(t) for t in grid])
-    turns = []
-    for i in range(1, len(grid) - 1):
-        for sign in (1.0, -1.0):
-            if sign * vals[i] <= min(sign * vals[i - 1], sign * vals[i + 1]):
-                turns.append(minimize_scalar(
-                    lambda t: sign * s(t), bounds=(grid[i - 1], grid[i + 1]),
-                    method="bounded", options={"xatol": 1e-14}).x)
-    nodes = np.concatenate([grid, turns])
-    order = np.argsort(nodes)
-    nodes = nodes[order]
-    vals = np.concatenate([vals, [s(t) for t in turns]])[order]
+def graded(a, b, centres):
+    """quad break points in (a, b) at each centre in [0, pi] and
+    geometrically closer to it, so that a log peak narrower than quad's
+    first subdivision, at a near-zero of S, is resolved."""
+    steps = (b - a) * 0.5 ** np.arange(1, 51)
+    pts = [c + d for c in centres for d in (0.0, *steps, *-steps)]
+    return sorted(p for p in set(pts) if a < p < b) or None
 
-    def bands(nu):
-        edges, inside = [], vals < nu
+
+class Oracle:
+    """scipy brentq and quad on one spectrum.  S is monotone between
+    neighbouring nodes of a grid that includes its polished local extrema,
+    so each crossing of S = nu is bracketed by two nodes and located by
+    brentq; each filled band is then integrated by quad, with break points
+    graded toward the local minima and the ends 0 and pi."""
+
+    def __init__(self, spec):
+        s = self.s = direct_psd(spec)
+        grid = np.linspace(0.0, PI, 32 * (len(spec.coeffs or ()) + 1) + 1)
+        vals = np.array([s(t) for t in grid])
+        turns, minima = [], []
+        for i in range(1, len(grid) - 1):
+            for sign in (1.0, -1.0):
+                if sign * vals[i] <= min(sign * vals[i - 1],
+                                         sign * vals[i + 1]):
+                    turns.append(minimize_scalar(
+                        lambda t: sign * s(t),
+                        bounds=(grid[i - 1], grid[i + 1]), method="bounded",
+                        options={"xatol": 1e-14}).x)
+                    if sign > 0:
+                        minima.append(turns[-1])
+        nodes = np.concatenate([grid, turns])
+        order = np.argsort(nodes)
+        self.nodes = nodes[order]
+        self.vals = np.concatenate([vals, [s(t) for t in turns]])[order]
+        self.minima = minima + [0.0, PI]
+
+    def bands(self, nu):
+        s, nodes = self.s, self.nodes
+        edges, inside = [], self.vals < nu
         for i in np.flatnonzero(inside[1:] != inside[:-1]):
             edges.append(brentq(lambda t: s(t) - nu, nodes[i], nodes[i + 1],
                                 xtol=1e-15, rtol=1e-15))
@@ -193,23 +229,36 @@ def oracle_level(spec, power):
         return [(a, b) for a, b in zip(edges[:-1], edges[1:])
                 if s(0.5 * (a + b)) < nu]
 
-    def excess(nu):
-        return sum(quad(lambda t: nu - s(t), a, b, epsabs=0.0, epsrel=1e-13,
-                        limit=200)[0] for a, b in bands(nu)) / PI - power
+    def level(self, power):
+        s = self.s
 
-    return brentq(excess, float(vals.min()), float(vals.max()) + 2 * power,
-                  xtol=1e-300, rtol=1e-15, maxiter=200)
+        def excess(nu):
+            return sum(quad(lambda t: nu - s(t), a, b, epsabs=0.0,
+                            epsrel=1e-13, limit=200)[0]
+                       for a, b in self.bands(nu)) / PI - power
+
+        return brentq(excess, float(self.vals.min()),
+                      float(self.vals.max()) + 2 * power,
+                      xtol=1e-300, rtol=1e-15, maxiter=200)
+
+    def capacity(self, nu):
+        s, total = self.s, 0.0
+        for a, b in self.bands(nu):
+            total += quad(lambda t: math.log(nu / s(t)), a, b,
+                          points=graded(a, b, self.minima), epsabs=1e-15,
+                          epsrel=1e-13, limit=1000)[0]
+        return 0.5 * total / (PI * math.log(2.0))
 
 
 @pytest.mark.parametrize("spec", random_spectra(), ids=lambda s: (
     f"ma{len(s.coeffs) - 1}" if s.coeffs else "white"))
 def test_newton_level_against_oracles(spec):
-    s = direct_psd(spec)
+    s, oracle = direct_psd(spec), Oracle(spec)
     smax = max(s(t) for t in np.linspace(0.0, PI, 1025))
     for power in POWERS:
         sol = nonfeedback_capacity(spec, float(power))
         nu = sol.water_level
-        assert nu == pytest.approx(oracle_level(spec, power), rel=1e-12, abs=0)
+        assert nu == pytest.approx(oracle.level(power), rel=1e-12, abs=0)
         assert sol.power_residual <= 1e-10 * max(1.0, power)
         for theta in sol.band_crossings:
             assert 0.0 < theta < PI
@@ -235,6 +284,133 @@ def test_samples_level_is_exact():
             2.0 * math.sqrt(power), rel=1e-14)
     sol = nonfeedback_capacity(spec, 0.25)
     assert sol.band_crossings == pytest.approx((PI / 4, 3 * PI / 4), rel=1e-15)
+
+
+# ---- capacity near spectral zeros, against scipy --------------------------
+# A quadrature of the log-singular gain can miss these by 1e-7 to 1e-4
+# without raising; the references are written free of cancellation.
+
+def monotone_reference(s, power):
+    """Water level and capacity of a spectrum written as S(u), increasing
+    on [0, pi] in the distance u from its minimum: scipy brentq and quad
+    over the filled band [0, u_c]."""
+    def edge(nu):
+        if s(PI) <= nu:
+            return PI
+        return brentq(lambda u: s(u) - nu, 0.0, PI, xtol=1e-300, rtol=1e-15)
+
+    def excess(nu):
+        return quad(lambda u: nu - s(u), 0.0, edge(nu), epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0] / PI - power
+
+    nu = brentq(excess, s(0.0), s(PI) + 2 * power, xtol=1e-300, rtol=1e-15,
+                maxiter=200)
+    total = quad(lambda u: math.log(nu / s(u)), 0.0, edge(nu),
+                 points=graded(0.0, edge(nu), [0.0]), epsabs=1e-15,
+                 epsrel=1e-13, limit=400)[0]
+    return nu, 0.5 * total / (PI * math.log(2.0))
+
+
+def samples_reference(values, power):
+    """Water level and capacity of a samples spectrum: scipy brentq and
+    quad over the part of each segment below nu, with S written from the
+    nearer node so that it keeps its digits next to a zero."""
+    nodes = np.linspace(0.0, PI, len(values))
+
+    def pieces(nu):
+        out = []
+        for x0, x1, a, b in zip(nodes[:-1], nodes[1:], values[:-1],
+                                values[1:]):
+            def s(t, x0=x0, x1=x1, a=a, b=b):
+                if t - x0 <= x1 - t:
+                    return a + (b - a) * (t - x0) / (x1 - x0)
+                return b + (a - b) * (x1 - t) / (x1 - x0)
+            if max(a, b) <= nu:
+                out.append((x0, x1, s))
+            elif min(a, b) < nu:
+                t = x0 + (nu - a) / (b - a) * (x1 - x0)
+                out.append((x0, t, s) if a < nu else (t, x1, s))
+        return out
+
+    def excess(nu):
+        return sum(quad(lambda t: nu - s(t), lo, hi, epsabs=0.0,
+                        epsrel=1e-13)[0]
+                   for lo, hi, s in pieces(nu)) / PI - power
+
+    nu = brentq(excess, 0.0, max(values) + 2 * power, xtol=1e-300,
+                rtol=1e-15, maxiter=200)
+    total = sum(quad(lambda t: math.log(nu / s(t)), lo, hi, epsabs=1e-14,
+                     epsrel=1e-13, limit=400)[0]
+                for lo, hi, s in pieces(nu))
+    return nu, 0.5 * total / (PI * math.log(2.0))
+
+
+def test_samples_capacity_against_scipy():
+    values = [0.0, 1.0, 2.0, 3.0, 0.5, 0.0, 4.0]
+    _, cap = samples_reference(values, 1e-3)
+    sol = nonfeedback_capacity(PsdSpec.from_samples(values), 1e-3)
+    assert sol.capacity_bits == pytest.approx(cap, abs=1e-10)
+
+
+def test_near_zero_ma1_capacity_against_scipy():
+    # |1 + beta e^{i theta}|^2 = (1 - beta)^2 + 4 beta sin^2(u / 2),
+    # u = pi - theta
+    beta = 1.0 - 1e-5
+    _, cap = monotone_reference(
+        lambda u: (1.0 - beta) ** 2 + 4.0 * beta * math.sin(0.5 * u) ** 2,
+        1e-4)
+    sol = nonfeedback_capacity(PsdSpec.ma((1.0, beta)), 1e-4)
+    assert sol.capacity_bits == pytest.approx(cap, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed, q, power", [(11, 15, 0.03), (80, 80, 1.0)],
+                         ids=["ma15_near_zeros", "ma80"])
+def test_random_ma_capacity_against_scipy(seed, q, power):
+    spec = PsdSpec.ma(np.random.default_rng(seed).standard_normal(q + 1))
+    oracle = Oracle(spec)
+    sol = nonfeedback_capacity(spec, power)
+    assert sol.capacity_bits == pytest.approx(
+        oracle.capacity(oracle.level(power)), abs=1e-10)
+
+
+def test_paper_channel_work_budget(monkeypatch):
+    """One capacity solve on the paper channel evaluates the spectrum in at
+    most 3 calls over 4,000 points, and needs no zero scan or singular
+    quadrature."""
+    sizes = []
+
+    def counted(spec, theta):
+        sizes.append(np.size(theta))
+        return psd_eval(spec, theta)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("not expected in a capacity solve")
+
+    monkeypatch.setattr(waterfill, "psd_eval", counted)
+    for name in ("psd_zeros", "mean_integral"):
+        monkeypatch.setattr(spectrum, name, forbidden)
+        monkeypatch.setattr(waterfill, name, forbidden, raising=False)
+    waterfill._capacity_cached.cache_clear()
+    nonfeedback_capacity(PAPER_CHANNEL, 1.0)
+    assert 1 <= len(sizes) <= 3
+    assert sum(sizes) <= 4000
+
+
+# S in the distance u from the zero: u = pi - theta, or theta for (1 - z)^2
+@pytest.mark.parametrize("taps, s", [
+    ((1.0, 2.0, 1.0), lambda u: 16.0 * math.sin(0.5 * u) ** 4),
+    ((1.0, -2.0, 1.0), lambda u: 16.0 * math.sin(0.5 * u) ** 4),
+    ((1.0, 3.0, 3.0, 1.0), lambda u: 64.0 * math.sin(0.5 * u) ** 6),
+], ids=["(1+z)^2", "(1-z)^2", "(1+z)^3"])
+def test_multiple_unit_circle_zeros_raise_or_are_exact(taps, s):
+    """A multiple zero on the unit circle is ill-conditioned for np.roots:
+    the capacity must either raise or meet its tolerance."""
+    _, cap = monotone_reference(s, 1.0)
+    try:
+        got = nonfeedback_capacity(PsdSpec.ma(taps), 1.0).capacity_bits
+    except ConvergenceError:
+        return
+    assert got == pytest.approx(cap, abs=1e-10)
 
 
 # ---- reference loops for the vectorised spectrum code --------------------
