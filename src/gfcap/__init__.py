@@ -20,6 +20,7 @@ from .feedback import (
     SkSolution,
     chen_yanagi_bound,
     conjecture_check,
+    conjecture_margin,
     cover_pombra_bounds,
     minimize_cy,
     sandwich_failures,
@@ -54,6 +55,7 @@ __all__ = [
     "brute_force_conditioning",
     "chen_yanagi_bound",
     "conjecture_check",
+    "conjecture_margin",
     "cover_pombra_bounds",
     "load_psd",
     "mean_integral",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -19,6 +20,7 @@ import numpy as np
 from .feedback import (
     chen_yanagi_curve,
     conjecture_check,
+    conjecture_margin,
     cover_pombra_bounds,
     sandwich_failures,
     sk_root,
@@ -176,7 +178,7 @@ def _parse_sweep(text):
         steps = int(step_text)
     lo_text, hi_text = text.split("..")
     lo, hi = float(lo_text), float(hi_text)
-    if lo <= 0 or hi <= lo or steps < 2:
+    if not 0 < lo < hi < math.inf or steps < 2:
         raise ValueError(f"bad power sweep {text!r}")
     return np.linspace(lo, hi, steps)
 
@@ -184,6 +186,7 @@ def _parse_sweep(text):
 def cmd_counterexample(args):
     started = time.perf_counter()
     cfg = _quad_config(args)
+    sweep = _parse_sweep(args.power_sweep) if args.power_sweep else None
     report = conjecture_check(1.0, cfg)
     failures = sandwich_failures(report)
     if failures:
@@ -205,12 +208,11 @@ def cmd_counterexample(args):
                     f"> 1 = C(2)") if report.violated else
                    "conjecture not violated at P=1",
     }
-    if args.power_sweep:
+    if sweep is not None:
         rows = []
-        for p in _parse_sweep(args.power_sweep):
-            rep = conjecture_check(float(p), cfg)
-            rows.append([float(p), rep.sk_rate, rep.conjecture_bound,
-                         rep.violated])
+        for p in sweep:
+            sk, c_2p, _, violated = conjecture_margin(float(p), cfg)
+            rows.append([float(p), sk.rate_bits, c_2p, violated])
         outputs["power_sweep"] = rows
     _emit(_envelope("counterexample", {"power": 1.0}, outputs, verdicts,
                     started), args.format)

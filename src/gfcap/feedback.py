@@ -63,8 +63,8 @@ def sk_root(power: float) -> SkSolution:
     root.  Bisection gives a guaranteed enclosure; a few Newton steps
     polish it to full double precision.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
     lo, hi = 0.0, 1.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -155,6 +155,19 @@ def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
     return curve, cy_alpha, cy_value
 
 
+def conjecture_margin(power: float,
+                      config: QuadratureConfig | None = None):
+    """The achievable feedback rate against the conjectured ceiling C(2P)
+    on the MA(1) channel: returns (sk, c_2p, margin, violated), where
+    margin = -log2 x0 - C(2P) and violated means margin > 0.  One sk_root
+    and one capacity solve."""
+    sk = sk_root(power)
+    c_2p = nonfeedback_capacity(PAPER_CHANNEL, 2.0 * power,
+                                config).capacity_bits
+    margin = sk.rate_bits - c_2p
+    return sk, c_2p, margin, margin > 0
+
+
 def conjecture_check(power: float, config: QuadratureConfig | None = None,
                      alpha_grid=None) -> BoundReport:
     """Full bound report for the MA(1) channel at the given power.
@@ -162,16 +175,14 @@ def conjecture_check(power: float, config: QuadratureConfig | None = None,
     Compares the achievable feedback rate -log2 x0 against the conjectured
     ceiling C(2P); violated means the achievable rate exceeds it.
     """
-    if power <= 0:
-        raise ValueError("power must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError("power must be positive and finite")
     psd = PAPER_CHANNEL
     grid = default_alpha_grid() if alpha_grid is None else alpha_grid
     c_p = nonfeedback_capacity(psd, power, config).capacity_bits
-    c_2p = nonfeedback_capacity(psd, 2.0 * power, config).capacity_bits
+    sk, c_2p, margin, violated = conjecture_margin(power, config)
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
     curve, cy_alpha, cy_value = chen_yanagi_curve(psd, power, grid, config)
-    sk = sk_root(power)
-    margin = sk.rate_bits - c_2p
     return BoundReport(
         power=float(power),
         c_p=c_p,
@@ -184,7 +195,7 @@ def conjecture_check(power: float, config: QuadratureConfig | None = None,
         conjecture_bound=c_2p,
         sk=sk,
         sk_rate=sk.rate_bits,
-        violated=margin > 0,
+        violated=violated,
         margin=margin,
     )
 

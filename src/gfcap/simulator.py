@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import PsdSpec, UnsupportedFormError, sample_noise_path
+from .spectrum import PsdSpec, UnsupportedFormError
 
 MESSAGE_PRIOR_VARIANCE = 1.0 / 12.0  # uniform message point on [0, 1]
+MC_BLOCK = 1024  # Monte Carlo trials per keyed random stream
 
 
 class ConditioningError(RuntimeError):
@@ -44,12 +45,12 @@ class SchemeConfig:
     burn_in: int | None = None
 
     def __post_init__(self):
-        if self.power <= 0:
-            raise ValueError("power must be positive")
+        if not 0 < self.power < math.inf:
+            raise ValueError("power must be positive and finite")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
-        if self.rate_bits <= 0:
-            raise ValueError("rate must be positive")
+        if not 0 < self.rate_bits < math.inf:
+            raise ValueError("rate must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if self.burn_in is not None and self.burn_in >= self.horizon:
@@ -236,9 +237,71 @@ def brute_force_conditioning(config: SchemeConfig, noise: PsdSpec,
                        config.effective_burn_in)
 
 
-def _trial_seeds(seed, trial):
-    ss = np.random.SeedSequence((seed, trial))
-    return ss.generate_state(2, dtype=np.uint64)
+def _block_draws(seed, block, size, levels, n):
+    """Message indices and an (size, n) matrix of standard normal
+    innovations for one block of trials, from a Philox stream keyed by
+    (seed, block)."""
+    rng = np.random.Generator(
+        np.random.Philox(np.random.SeedSequence((seed, block))))
+    return rng.integers(0, levels, size=size), rng.standard_normal((size, n))
+
+
+def _ma_filter(u, taps, sigma2):
+    """Each row of u filtered by the MA taps with zero pre-history: row r
+    equals sqrt(sigma2) * np.convolve(u[r], taps)[:n]."""
+    n = u.shape[1]
+    z = taps[0] * u
+    for k in range(1, min(len(taps), n)):
+        z[:, k:] += taps[k] * u[:, :n - k]
+    return math.sqrt(sigma2) * z
+
+
+def _scheme_plan(config, taps, sigma2):
+    """Per-step constants of the scheme for the Monte Carlo: the transmit
+    gain, the innovation weights of the message error and of the pending
+    noise innovations, and the contraction; plus the final error std."""
+    steps, log2ev = _propagate(config.power, taps, sigma2, config.horizon)
+    q = len(taps) - 1
+    sqrtP = math.sqrt(config.power)
+    plan = []
+    for st in steps:
+        coef = st.gain_vec / st.innov_var
+        plan.append((st.sign * sqrtP, coef[0], coef[1:q + 1, None], st.ratio))
+    return plan, 2.0 ** (0.5 * log2ev[-1])
+
+
+def _block_sums(config, plan, final_std, taps, sigma2, block, size):
+    """Run one block of trials; returns (transmit power sum, decode
+    errors, sum of squared final errors)."""
+    q = len(taps) - 1
+    levels = config.pam_levels
+    idx, u = _block_draws(config.seed, block, size, levels, config.horizon)
+    z = _ma_filter(u, taps, sigma2)
+    theta = idx / (levels - 1) if levels > 1 else np.full(size, 0.5)
+
+    e = (theta - 0.5) / math.sqrt(MESSAGE_PRIOR_VARIANCE)
+    mW = np.zeros((q, size))   # conditional means of the pending innovations
+    power_sum = 0.0
+    for i, (gain, c_msg, c_pending, ratio) in enumerate(plan):
+        x = gain * e
+        power_sum += float(x @ x)
+        innov = x + z[:, i]
+        if q:
+            innov -= taps[1:] @ mW
+            mW[1:] = mW[:-1]
+            mW[0] = 0.0
+            mW += c_pending * innov
+        e -= c_msg * innov
+        e /= ratio
+
+    err = e * final_std
+    if levels > 1:
+        decoded = np.clip(np.ceil((theta - err) * (levels - 1) - 0.5),
+                          0, levels - 1).astype(np.int64)
+        decode_errors = int(np.sum(decoded != idx))
+    else:
+        decode_errors = 0
+    return power_sum, decode_errors, float(err @ err)
 
 
 def simulate_transmission(config: SchemeConfig, noise: PsdSpec,
@@ -247,66 +310,35 @@ def simulate_transmission(config: SchemeConfig, noise: PsdSpec,
 
     Each trial draws a message uniformly from an equispaced grid on [0, 1],
     runs the scheme against a sampled noise path, and decodes by nearest
-    grid point (ties rounded toward the lower index).  Per-trial seeds are
-    derived from (seed, trial index), so results are reproducible and
-    independent of any execution order.
+    grid point (ties rounded toward the lower index).  Trials run in
+    blocks of MC_BLOCK; block b draws its messages and noise innovations
+    from a counter-based Philox stream keyed by (seed, b), and the block
+    sums are added with math.fsum, so the report is reproducible and does
+    not depend on the order in which blocks run.  Memory is bounded by one
+    block.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     taps, sigma2 = _ma_taps(noise)
-    if noise.form == "white":
-        noise = PsdSpec.ma((1.0,), sigma2)
     n = config.horizon
-    q = len(taps) - 1
-    steps, log2ev = _propagate(config.power, taps, sigma2, n)
-    levels = config.pam_levels
-
-    idx = np.empty(trials, dtype=np.int64)
-    z = np.empty((trials, n))
-    for t in range(trials):
-        msg_seed, noise_seed = _trial_seeds(config.seed, t)
-        idx[t] = np.random.default_rng(int(msg_seed)).integers(0, levels)
-        z[t] = sample_noise_path(noise, n, int(noise_seed))
-    theta = idx / (levels - 1) if levels > 1 else np.full(trials, 0.5)
-
-    sqrtP = math.sqrt(config.power)
-    e = (theta - 0.5) / math.sqrt(MESSAGE_PRIOR_VARIANCE)
-    mW = np.zeros((trials, q))
-    power_sum = 0.0
-    for i, st in enumerate(steps):
-        x = st.sign * sqrtP * e
-        power_sum += float(x @ x)
-        y = x + z[:, i]
-        yhat = mW @ taps[1:] if q else 0.0
-        innov = y - yhat
-        coef = st.gain_vec / st.innov_var
-        if q:
-            mW = np.concatenate([np.zeros((trials, 1)), mW], axis=1)
-            mW += innov[:, None] * coef[1:][None, :]
-            mW = mW[:, :q]
-        e = (e - coef[0] * innov) / st.ratio
-
-    final_std = 2.0 ** (0.5 * log2ev[-1])
-    err = e * final_std
-    theta_hat = theta - err
-    if levels > 1:
-        decoded = np.clip(np.ceil(theta_hat * (levels - 1) - 0.5),
-                          0, levels - 1).astype(np.int64)
-        decode_errors = int(np.sum(decoded != idx))
-    else:
-        decode_errors = 0
-    emp_var = float(np.mean(err ** 2))
+    plan, final_std = _scheme_plan(config, taps, sigma2)
+    sums = [_block_sums(config, plan, final_std, taps, sigma2, b,
+                        min(MC_BLOCK, trials - start))
+            for b, start in enumerate(range(0, trials, MC_BLOCK))]
+    power_sums, errors, sq_errs = zip(*sums)
+    decode_errors = sum(errors)
+    emp_var = math.fsum(sq_errs) / trials
     contraction = (emp_var / MESSAGE_PRIOR_VARIANCE) ** (0.5 / n) if emp_var > 0 else 0.0
     return MonteCarloReport(
         trials=trials,
         horizon=n,
-        pam_levels=levels,
-        empirical_avg_power=power_sum / (trials * n),
+        pam_levels=config.pam_levels,
+        empirical_avg_power=math.fsum(power_sums) / (trials * n),
         decode_errors=decode_errors,
         error_rate=decode_errors / trials,
         contraction_empirical=contraction,
         empirical_error_variance=emp_var,
-        degenerate=levels < 2,
+        degenerate=config.pam_levels < 2,
         message_grid_saturated=config.message_grid_saturated,
         seed=config.seed,
     )

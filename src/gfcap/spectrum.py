@@ -49,16 +49,20 @@ class PsdSpec:
         if self.form == "ma":
             if not self.coeffs:
                 raise ValueError("ma form needs at least one coefficient")
-            if self.sigma2 is None or self.sigma2 <= 0:
-                raise ValueError("innovation variance must be positive")
+            if not all(map(math.isfinite, self.coeffs)):
+                raise ValueError("ma coefficients must be finite")
+            if self.sigma2 is None or not 0 < self.sigma2 < math.inf:
+                raise ValueError("innovation variance must be positive "
+                                 "and finite")
         elif self.form == "samples":
             if self.values is None or len(self.values) < 2:
                 raise ValueError("samples form needs at least two values")
-            if min(self.values) < 0:
-                raise ValueError("sampled PSD values must be nonnegative")
+            if not all(0 <= v < math.inf for v in self.values):
+                raise ValueError("sampled PSD values must be nonnegative "
+                                 "and finite")
         elif self.form == "white":
-            if self.level is None or self.level < 0:
-                raise ValueError("white level must be nonnegative")
+            if self.level is None or not 0 <= self.level < math.inf:
+                raise ValueError("white level must be nonnegative and finite")
         else:
             raise ValueError(f"unknown PSD form {self.form!r}")
 
@@ -96,8 +100,8 @@ class QuadratureConfig:
             raise ValueError("panel_count must be at least 8")
         if self.singularity_refinement_depth < 0:
             raise ValueError("singularity_refinement_depth must be nonnegative")
-        if self.abs_tolerance <= 0:
-            raise ValueError("abs_tolerance must be positive")
+        if not 0 < self.abs_tolerance < math.inf:
+            raise ValueError("abs_tolerance must be positive and finite")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -174,8 +174,8 @@ def _solve_level(spec: PsdSpec, power: float):
     solve stops once the step falls to that, or once the computed excess
     F(nu) - P is no longer positive.  An unconverged nu is never returned.
     """
-    if power <= 0:
-        raise ValueError("power budget must be positive")
+    if not 0 < power < math.inf:
+        raise ValueError("power budget must be positive and finite")
     terms = _level_terms(spec)
     mean, bound = _mean_and_bound(spec)
     nu = mean + power

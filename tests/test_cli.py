@@ -3,7 +3,9 @@ import math
 
 import pytest
 
+from gfcap import cli, feedback
 from gfcap.cli import main
+from gfcap.feedback import conjecture_check
 
 
 def run(capsys, *argv):
@@ -121,6 +123,38 @@ class TestCounterexampleCommand:
         for p, rate, c2p, violated in rows:
             assert violated == (rate > c2p)
 
+    def test_power_sweep_rows_equal_conjecture_check(self, capsys):
+        code, doc, _ = run_json(capsys, "counterexample",
+                                "--power-sweep", "0.5..2:10")
+        assert code == 0
+        rows = doc["outputs"]["power_sweep"]
+        assert len(rows) == 10
+        for p, rate, c2p, violated in rows:
+            rep = conjecture_check(p)
+            assert [rate, c2p, violated] == [rep.sk_rate,
+                                             rep.conjecture_bound,
+                                             rep.violated]
+
+    def test_power_sweep_solves_only_what_it_prints(self, capsys,
+                                                    monkeypatch):
+        def distinct_keys(*argv):
+            keys = set()
+            solve = feedback.nonfeedback_capacity
+
+            def counting(psd, power, config=None):
+                keys.add((psd, float(power)))
+                return solve(psd, power, config)
+
+            monkeypatch.setattr(feedback, "nonfeedback_capacity", counting)
+            monkeypatch.setattr(cli, "nonfeedback_capacity", counting)
+            assert run(capsys, "counterexample", *argv)[0] == 0
+            monkeypatch.undo()
+            return len(keys)
+
+        report_keys = distinct_keys()
+        assert distinct_keys("--power-sweep", "0.5..2:10") \
+            <= report_keys + 10
+
 
 class TestSimulateCommand:
     def test_deterministic_json(self, capsys, tmp_path):
@@ -208,6 +242,24 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "converge" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("capacity", "--power", "nan"),
+        ("capacity", "--power", "inf"),
+        ("capacity", "--psd", "white:nan", "--power", "1"),
+        ("capacity", "--power", "1", "--tol", "nan"),
+        ("bounds", "--power", "nan"),
+        ("counterexample", "--power-sweep", "0.5..nan:3"),
+        ("sk-rate", "--power", "nan"),
+        ("sk-rate", "--power", "inf"),
+        ("simulate", "--power", "nan"),
+        ("simulate", "--power", "1", "--rate", "inf"),
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_non_finite_input_is_invalid(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "finite" in err or "bad power sweep" in err
 
     def test_counterexample_honours_tol(self, capsys):
         code, _, err = run(capsys, "counterexample", "--tol", "1e-20")

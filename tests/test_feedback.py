@@ -6,6 +6,7 @@ import pytest
 from gfcap.feedback import (
     chen_yanagi_bound,
     conjecture_check,
+    conjecture_margin,
     cover_pombra_bounds,
     minimize_cy,
     sandwich_failures,
@@ -56,6 +57,11 @@ class TestSkRoot:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             sk_root(0.0)
+
+    @pytest.mark.parametrize("power", [math.nan, math.inf])
+    def test_rejects_non_finite_power(self, power):
+        with pytest.raises(ValueError):
+            sk_root(power)
 
     def test_root_residual_and_monotonicity(self):
         powers = np.logspace(-3, 3, 100)
@@ -168,6 +174,12 @@ class TestConjectureCheck:
         assert rep.sk_rate == pytest.approx(0.5256648, abs=1e-5)
         assert rep.conjecture_bound == pytest.approx(0.4527372, abs=1e-5)
         assert rep.violated is True
+
+    @pytest.mark.parametrize("power", [0.1, 1.0, 4.0])
+    def test_margin_helper_matches_report(self, power):
+        rep = conjecture_check(power)
+        assert conjecture_margin(power) == (rep.sk, rep.conjecture_bound,
+                                            rep.margin, rep.violated)
 
     def test_high_power_no_violation(self):
         rep = conjecture_check(4.0)

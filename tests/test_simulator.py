@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gfcap.feedback import sk_root
+from gfcap import simulator
 from gfcap.simulator import (
+    MC_BLOCK,
     MESSAGE_PRIOR_VARIANCE,
     SchemeConfig,
     brute_force_conditioning,
@@ -162,6 +164,102 @@ class TestMonteCarlo:
             simulate_transmission(config(1.0, 10), PAPER_CHANNEL, 0)
 
 
+class TestMonteCarloBlocks:
+    def test_report_independent_of_block_order(self):
+        cfg = config(1.0, 20, rate=0.9, seed=5)
+        trials = 3 * MC_BLOCK + 77
+        report = simulate_transmission(cfg, PAPER_CHANNEL, trials)
+        taps, sigma2 = simulator._ma_taps(PAPER_CHANNEL)
+        plan, final_std = simulator._scheme_plan(cfg, taps, sigma2)
+        sizes = [MC_BLOCK] * 3 + [77]
+        order = np.random.default_rng(1).permutation(len(sizes))
+        sums = [simulator._block_sums(cfg, plan, final_std, taps, sigma2,
+                                      int(b), sizes[b]) for b in order]
+        power, errors, sq_err = zip(*sums)
+        assert report.empirical_avg_power == math.fsum(power) / (trials * 20)
+        assert report.decode_errors == sum(errors)
+        assert report.empirical_error_variance == math.fsum(sq_err) / trials
+
+    @pytest.mark.parametrize("taps, sigma2", [
+        ((1.0, 1.0), 1.0),
+        (tuple(np.random.default_rng(8).standard_normal(9)), 0.37),
+        ((1.0,), 2.5),
+    ], ids=["ma1", "ma8", "white"])
+    def test_block_noise_is_the_ma_convolution(self, taps, sigma2):
+        n = 40
+        _, u = simulator._block_draws(3, 2, MC_BLOCK, 1000, n)
+        b = np.asarray(taps)
+        z = simulator._ma_filter(u, b, sigma2)
+        assert z.shape == (MC_BLOCK, n)
+        bound = 8 * np.finfo(float).eps * math.sqrt(sigma2) \
+            * np.abs(b).sum() * np.abs(u).max()
+        for row, u_row in zip(z, u):
+            ref = math.sqrt(sigma2) * np.convolve(u_row, b)[:n]
+            assert np.max(np.abs(row - ref)) <= bound
+
+    @pytest.mark.parametrize("noise", [
+        PAPER_CHANNEL, WHITE, PsdSpec.ma([1.0, 0.6, -0.3, 0.2], 0.5),
+    ], ids=["ma1", "white", "ma3"])
+    def test_block_loop_matches_per_trial_reference(self, noise,
+                                                    monkeypatch):
+        # the whole-array loop this module used before blocks, fed the
+        # block's own draws
+        cfg = config(1.0, 16, rate=0.9, seed=4)
+        size, n, levels = 300, cfg.horizon, cfg.pam_levels
+        idx, u = simulator._block_draws(4, 0, size, levels, n)
+        monkeypatch.setattr(simulator, "_block_draws",
+                            lambda *args: (idx, u))
+        taps, sigma2 = simulator._ma_taps(noise)
+        plan, final_std = simulator._scheme_plan(cfg, taps, sigma2)
+        got = simulator._block_sums(cfg, plan, final_std, taps, sigma2, 0,
+                                    size)
+
+        steps, log2ev = simulator._propagate(1.0, taps, sigma2, n)
+        z = np.array([math.sqrt(sigma2) * np.convolve(r, taps)[:n]
+                      for r in u])
+        q = len(taps) - 1
+        theta = idx / (levels - 1)
+        e = (theta - 0.5) / math.sqrt(MESSAGE_PRIOR_VARIANCE)
+        mW = np.zeros((size, q))
+        power_sum = 0.0
+        for i, st in enumerate(steps):
+            x = st.sign * math.sqrt(cfg.power) * e
+            power_sum += float(x @ x)
+            innov = x + z[:, i] - (mW @ taps[1:] if q else 0.0)
+            coef = st.gain_vec / st.innov_var
+            if q:
+                mW = np.concatenate([np.zeros((size, 1)), mW], axis=1)
+                mW += innov[:, None] * coef[1:][None, :]
+                mW = mW[:, :q]
+            e = (e - coef[0] * innov) / st.ratio
+        err = e * 2.0 ** (0.5 * log2ev[-1])
+        decoded = np.clip(np.ceil((theta - err) * (levels - 1) - 0.5),
+                          0, levels - 1).astype(np.int64)
+        assert got[0] == pytest.approx(power_sum, rel=1e-12)
+        assert got[1] == int(np.sum(decoded != idx))
+        assert got[2] == pytest.approx(float(err @ err), rel=1e-9)
+
+    @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK,
+                                        MC_BLOCK + 1])
+    def test_block_boundaries(self, trials, monkeypatch):
+        sizes = []
+        draws = simulator._block_draws
+
+        def recording(seed, block, size, levels, n):
+            assert block == len(sizes)
+            sizes.append(size)
+            return draws(seed, block, size, levels, n)
+
+        monkeypatch.setattr(simulator, "_block_draws", recording)
+        report = simulate_transmission(config(1.0, 12, rate=1.0, seed=2),
+                                       PAPER_CHANNEL, trials)
+        assert report.trials == trials
+        assert sum(sizes) == trials
+        assert max(sizes) <= MC_BLOCK
+        assert 0 <= report.decode_errors <= trials
+        assert report.error_rate == report.decode_errors / trials
+
+
 class TestConfigValidation:
     def test_bad_fields(self):
         with pytest.raises(ValueError):
@@ -172,6 +270,14 @@ class TestConfigValidation:
             SchemeConfig(power=1.0, horizon=10, rate_bits=0.0)
         with pytest.raises(ValueError):
             SchemeConfig(power=1.0, horizon=10, rate_bits=1.0, burn_in=10)
+
+    @pytest.mark.parametrize("power, rate", [(math.nan, 1.0),
+                                             (math.inf, 1.0),
+                                             (1.0, math.nan),
+                                             (1.0, math.inf)])
+    def test_non_finite_fields(self, power, rate):
+        with pytest.raises(ValueError):
+            SchemeConfig(power=power, horizon=10, rate_bits=rate)
 
     def test_burn_in_default(self):
         assert config(1.0, 400).effective_burn_in == 100

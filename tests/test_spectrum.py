@@ -71,6 +71,21 @@ class TestPsdEval:
         with pytest.raises(ValueError):
             PsdSpec.from_samples([1.0, -0.1])
 
+    @pytest.mark.parametrize("make", [
+        lambda: PsdSpec.ma([1.0, math.nan]),
+        lambda: PsdSpec.ma([1.0, math.inf]),
+        lambda: PsdSpec.ma([1.0], math.nan),
+        lambda: PsdSpec.ma([1.0], math.inf),
+        lambda: PsdSpec.white(math.nan),
+        lambda: PsdSpec.white(math.inf),
+        lambda: PsdSpec.from_samples([1.0, math.nan]),
+        lambda: PsdSpec.from_samples([1.0, math.inf]),
+        lambda: QuadratureConfig(abs_tolerance=math.nan),
+    ])
+    def test_non_finite_fields_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
 
 class TestMeanIntegral:
     def test_constant(self):
