@@ -9,9 +9,7 @@ from .spectrum import (
     QuadratureConfig,
     UnsupportedFormError,
     load_psd,
-    mean_integral,
     psd_eval,
-    psd_zeros,
     sample_noise_path,
 )
 from .waterfill import WaterfillSolution, nonfeedback_capacity, water_level
@@ -58,11 +56,9 @@ __all__ = [
     "conjecture_margin",
     "cover_pombra_bounds",
     "load_psd",
-    "mean_integral",
     "minimize_cy",
     "nonfeedback_capacity",
     "psd_eval",
-    "psd_zeros",
     "sample_noise_path",
     "sandwich_failures",
     "simulate_transmission",

@@ -229,8 +229,12 @@ def cmd_simulate(args):
     rate = args.rate if args.rate is not None else 0.9 * scheme_rate
     config = SchemeConfig(power=args.power, horizon=args.horizon,
                           rate_bits=rate, seed=args.seed)
+    try:
+        trace_to_csv(trace, args.trace_out)
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write trace {args.trace_out!r}: {exc}") from exc
     mc = simulate_transmission(config, psd, args.trials)
-    trace_to_csv(trace, args.trace_out)
     report = _envelope(
         "simulate",
         {"psd": psd_describe(psd), "power": args.power, "rate": rate,
@@ -263,7 +267,8 @@ def build_parser():
     def common(p, psd=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--tol", type=float, default=1e-10,
-                       help="quadrature absolute tolerance")
+                       help="tolerance: absolute on the capacity in bits, "
+                            "scaled by max(1, P) on the power check")
         if psd:
             p.add_argument("--psd", default="paper",
                            help="PSD spec file, 'paper', or 'white:LEVEL'")

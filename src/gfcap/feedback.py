@@ -19,6 +19,8 @@ from .spectrum import PAPER_CHANNEL, PsdSpec, QuadratureConfig
 from .waterfill import nonfeedback_capacity
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# width of the alpha bracket at which minimize_cy's golden section stops
+_ALPHA_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ def chen_yanagi_bound(psd: PsdSpec, power: float, alpha: float,
 
 
 def minimize_cy(psd: PsdSpec, power: float, alpha_grid,
-                config: QuadratureConfig | None = None, alpha_tol=1e-6):
+                config: QuadratureConfig | None = None):
     """Tightest bound over alpha: grid scan, then golden-section between the
     grid neighbors of the minimizer."""
     grid = sorted(float(a) for a in alpha_grid)
@@ -123,7 +125,7 @@ def minimize_cy(psd: PsdSpec, power: float, alpha_grid,
     a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = value(c), value(d)
-    while (b - a) > alpha_tol:
+    while (b - a) > _ALPHA_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

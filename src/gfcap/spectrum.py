@@ -1,12 +1,9 @@
-"""Power spectral densities on [-pi, pi]: evaluation, spectral integrals,
-zero location, and sampling of stationary Gaussian noise paths.
+"""Power spectral densities on [-pi, pi]: the PSD type, its evaluation,
+sampling of stationary Gaussian noise paths, and spec-file I/O.
 
 A PSD can be given as a moving-average filter (coefficients plus innovation
 variance), as uniform samples on [0, pi] extended by even symmetry, or as a
-flat white level.  Integrals of spectral functionals are computed with
-composite Gauss-Legendre panels, with geometric panel refinement toward
-declared singular points so that integrable logarithmic singularities (e.g.
-log of a spectrum that vanishes at some frequency) do not wreck accuracy.
+flat white level.
 """
 
 from __future__ import annotations
@@ -14,15 +11,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 class ConvergenceError(RuntimeError):
-    """Raised when quadrature refinement exhausts its budget."""
+    """Raised when a result cannot be certified to its stated tolerance:
+    the water-level Newton solve does not converge, the Jensen error bound
+    or the quadrature levels miss the tolerance, or the tolerance lies
+    below the roundoff floor of the numbers it is held to."""
 
 
 class UnsupportedFormError(ValueError):
@@ -86,20 +83,13 @@ PAPER_CHANNEL = PsdSpec.ma((1.0, 1.0), 1.0)
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Composite Gauss-Legendre settings: panels on [-pi, pi] at the first
-    level, and the absolute tolerance two successive levels must meet.
-    singularity_refinement_depth is used by mean_integral only; the
-    water-filling capacity integrates no singularity."""
+    """The tolerance a capacity is certified to.  abs_tolerance is absolute
+    on the capacity in bits and, scaled by max(1, P), on the power check
+    (the quadrature of the filled power against the budget P)."""
 
-    panel_count: int = 64
-    singularity_refinement_depth: int = 48
     abs_tolerance: float = 1e-10
 
     def __post_init__(self):
-        if self.panel_count < 8:
-            raise ValueError("panel_count must be at least 8")
-        if self.singularity_refinement_depth < 0:
-            raise ValueError("singularity_refinement_depth must be nonnegative")
         if not 0 < self.abs_tolerance < math.inf:
             raise ValueError("abs_tolerance must be positive and finite")
 
@@ -127,143 +117,6 @@ def psd_eval(spec: PsdSpec, theta):
     if np.ndim(theta) == 0:
         return float(out)
     return out
-
-
-# 16-point Gauss-Legendre rule on [-1, 1], shared by all panel integrations.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
-
-def _panel_edges(lo, hi, n_panels, singular_points, depth):
-    """Uniform edges plus geometric refinement toward each singular point:
-    every s and s -+ h / 2^k (k = 0..depth) that lies inside (lo, hi)."""
-    s = np.asarray(singular_points, dtype=float)
-    w = (hi - lo) / n_panels * 0.5 ** np.arange(depth + 1)
-    extra = np.concatenate((s, (s[:, None] - w).ravel(),
-                            (s[:, None] + w).ravel()))
-    return np.unique(np.concatenate((np.linspace(lo, hi, n_panels + 1),
-                                     extra[(lo < extra) & (extra < hi)])))
-
-
-def _integrate_panels(f, edges):
-    """Gauss-Legendre integral of f over the panels defined by edges."""
-    lo, hi = edges[:-1], edges[1:]
-    keep = (hi - lo) > 1e-15
-    c = 0.5 * (lo + hi)[keep]
-    h = 0.5 * (hi - lo)[keep]
-    pts = (c[:, None] + h[:, None] * _GL_NODES[None, :]).ravel()
-    wts = (h[:, None] * _GL_WEIGHTS[None, :]).ravel()
-    y = np.asarray(f(pts), dtype=float)
-    if y.shape != pts.shape:
-        y = np.asarray([f(p) for p in pts], dtype=float)
-    return float(wts @ y)
-
-
-def _check_floor(tol, *values):
-    """Raise ConvergenceError when tol is below the roundoff floor of the
-    values: a tolerance below roundoff can never be certified honestly."""
-    floor = 4.0 * np.finfo(float).eps * max(max(abs(v) for v in values), 1.0)
-    if tol < floor:
-        raise ConvergenceError(
-            f"abs_tolerance {tol:g} is below the achievable roundoff floor "
-            f"{floor:.2e}")
-
-
-def mean_integral(f, config: QuadratureConfig | None = None, singular_points=()):
-    """Compute (1/2pi) * integral of f over [-pi, pi].
-
-    f must accept an ndarray of angles.  Points listed in singular_points
-    (and their mirror images) become panel edges with geometric refinement,
-    which keeps composite Gauss-Legendre accurate through integrable
-    logarithmic singularities.  Panel count is doubled until two successive
-    refinements agree within abs_tolerance; failure to converge raises
-    ConvergenceError.
-    """
-    cfg = config or DEFAULT_QUADRATURE
-    sing = set()
-    for s in singular_points:
-        for v in (float(s), -float(s)):
-            if -math.pi <= v <= math.pi:
-                sing.add(v)
-    m = cfg.panel_count
-    prev = None
-    for _ in range(8):
-        edges = _panel_edges(-math.pi, math.pi, m, sorted(sing),
-                             cfg.singularity_refinement_depth)
-        val = _integrate_panels(f, edges) / TWO_PI
-        _check_floor(cfg.abs_tolerance, val)
-        if prev is not None and abs(val - prev) <= cfg.abs_tolerance:
-            return val
-        prev = val
-        m *= 2
-    raise ConvergenceError(
-        f"mean_integral did not reach tolerance {cfg.abs_tolerance:g} "
-        f"after refinement up to {m // 2} panels")
-
-
-def _bisect_scalar(fun, a, b, iters=80):
-    fa = fun(a)
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if fun(mid) * fa > 0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
-def _golden_min(fun, a, b, tol=1e-13):
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    return 0.5 * (a + b)
-
-
-@lru_cache(maxsize=256)
-def psd_zeros(spec: PsdSpec):
-    """Locate the zeros of the PSD on [0, pi].
-
-    Returns all theta where S(theta) drops below 1e-12 times its maximum,
-    found by a dense threshold scan with bisection-refined cluster
-    boundaries.  Zeros at the interval endpoints are returned exactly as
-    0.0 or pi.
-    """
-    grid = np.linspace(0.0, math.pi, 4097)
-    s = psd_eval(spec, grid)
-    tau = max(float(s.max()), 1e-300) * 1e-12
-    below = s <= tau
-    if not below.any():
-        return ()
-    zeros = []
-    i = 0
-    n = len(grid)
-    while i < n:
-        if not below[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and below[j + 1]:
-            j += 1
-        if i == 0:
-            zeros.append(0.0)
-        elif j == n - 1:
-            zeros.append(math.pi)
-        else:
-            thr = lambda th: psd_eval(spec, th) - tau
-            a = _bisect_scalar(thr, grid[i - 1], grid[i])
-            b = _bisect_scalar(thr, grid[j + 1], grid[j])
-            zeros.append(_golden_min(lambda th: psd_eval(spec, th),
-                                     min(a, b), max(a, b)))
-        i = j + 1
-    return tuple(sorted(zeros))
 
 
 def sample_noise_path(spec: PsdSpec, n: int, seed: int):

@@ -34,9 +34,6 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .spectrum import (
-    _GL_NODES,
-    _GL_WEIGHTS,
-    _check_floor,
     DEFAULT_QUADRATURE,
     ConvergenceError,
     PsdSpec,
@@ -48,6 +45,10 @@ _EPS = np.finfo(float).eps
 _LN2 = math.log(2.0)
 _NEWTON_MAX_ITER = 100
 _MAX_LEVELS = 8
+# Gauss-Legendre panels on [0, pi] at the first quadrature level
+_PANELS = 32
+# 16-point Gauss-Legendre rule on [-1, 1]
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _HALF_TURN = np.array([0.0, math.pi])
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
 # crossings.  Extra candidates are harmless (each band is decided by the
@@ -275,6 +276,16 @@ def _band_integrals(psd: PsdSpec, nu, edges, filled, n_panels):
             float(np.sum(w[in_f] * (nu - s[in_f]))) / math.pi)
 
 
+def _check_floor(tol, *values):
+    """Raise ConvergenceError when tol is below the roundoff floor of the
+    values: a tolerance below roundoff can never be certified honestly."""
+    floor = 4.0 * _EPS * max(max(abs(v) for v in values), 1.0)
+    if tol < floor:
+        raise ConvergenceError(
+            f"abs_tolerance {tol:g} is below the achievable roundoff floor "
+            f"{floor:.2e}")
+
+
 @lru_cache(maxsize=1024)
 def _capacity_cached(psd, power, config):
     _reject_vanishing(psd)
@@ -290,18 +301,20 @@ def _capacity_cached(psd, power, config):
         mean_log = _jensen_mean_log(psd, tol)
     else:
         filled_log = _filled_log_samples(psd, edges, filled) / math.pi
-    # panels double from panel_count / 2 on the half-circle, the density
-    # of panel_count on [-pi, pi], until two levels agree on both numbers
-    n_panels, prev = config.panel_count // 2, None
+    # panels double until two levels agree on both numbers: the capacity
+    # within tol, the filled power (about P) within tol * max(1, P)
+    power_tol = tol * max(1.0, power)
+    n_panels, prev = _PANELS, None
     for _ in range(_MAX_LEVELS):
         unfilled_log, filled_power = _band_integrals(psd, nu, edges, filled,
                                                      n_panels)
         if psd.form == "ma":
             filled_log = mean_log - unfilled_log
         capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
-        _check_floor(tol, capacity, filled_power)
+        _check_floor(tol, capacity)
+        _check_floor(power_tol, filled_power)
         if prev is not None and abs(capacity - prev[0]) <= tol \
-                and abs(filled_power - prev[1]) <= tol:
+                and abs(filled_power - prev[1]) <= power_tol:
             return nu, crossings, capacity, abs(filled_power - power)
         prev = capacity, filled_power
         n_panels *= 2

@@ -52,6 +52,12 @@ class TestCapacityCommand:
         assert doc["outputs"]["capacity_bits"] == pytest.approx(
             0.5 * math.log2(1.0 + 1e6), abs=1e-12)
 
+    def test_paper_channel_at_high_power(self, capsys):
+        code, doc, _ = run_json(capsys, "capacity", "--power", "1e6")
+        assert code == 0
+        assert doc["outputs"]["capacity_bits"] == pytest.approx(
+            0.5 * math.log2(1e6 + 2.0), abs=1e-12)
+
 
 class TestSkRateCommand:
     def test_unit_power(self, capsys):
@@ -208,6 +214,21 @@ class TestExitCodes:
         code, _, _ = run(capsys, "capacity", "--psd",
                          str(tmp_path / "nope.json"), "--power", "1")
         assert code == 2
+
+    def test_unwritable_trace_is_invalid(self, capsys, tmp_path,
+                                         monkeypatch):
+        """The trace is written before the Monte Carlo runs, and a path
+        that cannot be written is an input error."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("Monte Carlo ran before the trace failed")
+
+        monkeypatch.setattr(cli, "simulate_transmission", forbidden)
+        code, out, err = run(capsys, "simulate", "--power", "1",
+                             "--trace-out",
+                             str(tmp_path / "missing" / "t.csv"))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write trace")
 
     def test_forced_nonconvergence(self, capsys):
         code, _, err = run(capsys, "capacity", "--power", "2",

@@ -3,20 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from gfcap.spectrum import (
     PAPER_CHANNEL,
-    ConvergenceError,
     PsdSpec,
     QuadratureConfig,
     UnsupportedFormError,
-    _integrate_panels,
-    _panel_edges,
     load_psd,
-    mean_integral,
     psd_eval,
-    psd_zeros,
     sample_noise_path,
 )
 
@@ -71,6 +65,16 @@ class TestPsdEval:
         with pytest.raises(ValueError):
             PsdSpec.from_samples([1.0, -0.1])
 
+    def test_parseval(self):
+        # 64 equispaced points integrate a trigonometric polynomial of
+        # degree below 64 exactly, so the mean of S is sigma2 * sum b^2
+        th = np.linspace(-PI, PI, 64, endpoint=False)
+        for coeffs, sigma2 in ([(1.0, 1.0), 1.0], [(1.0, -0.5, 0.25), 1.7]):
+            spec = PsdSpec.ma(coeffs, sigma2)
+            expected = sigma2 * sum(c * c for c in coeffs)
+            got = float(np.mean(psd_eval(spec, th)))
+            assert got == pytest.approx(expected, abs=1e-13)
+
     @pytest.mark.parametrize("make", [
         lambda: PsdSpec.ma([1.0, math.nan]),
         lambda: PsdSpec.ma([1.0, math.inf]),
@@ -85,79 +89,6 @@ class TestPsdEval:
     def test_non_finite_fields_rejected(self, make):
         with pytest.raises(ValueError):
             make()
-
-
-class TestMeanIntegral:
-    def test_constant(self):
-        assert mean_integral(lambda th: np.full_like(th, 2.5)) == pytest.approx(2.5, abs=1e-12)
-
-    def test_cosine_averages_to_zero(self):
-        assert mean_integral(np.cos) == pytest.approx(0.0, abs=1e-12)
-
-    def test_log_of_vanishing_spectrum_averages_to_zero(self):
-        # mean of log2(2(1+cos)) over the circle is zero; cross-check the
-        # singular quadrature against adaptive quadrature.
-        def f(th):
-            return np.log2(np.maximum(psd_eval(PAPER_CHANNEL, th), 1e-300))
-
-        ours = mean_integral(f, singular_points=[PI])
-        ref, _ = quad(lambda t: f(np.asarray(t)), 0, PI, points=[PI], limit=400)
-        ref /= PI
-        assert ours == pytest.approx(0.0, abs=1e-8)
-        assert ours == pytest.approx(ref, abs=1e-8)
-
-    def test_parseval(self):
-        for coeffs, sigma2 in ([(1.0, 1.0), 1.0], [(1.0, -0.5, 0.25), 1.7]):
-            spec = PsdSpec.ma(coeffs, sigma2)
-            expected = sigma2 * sum(c * c for c in coeffs)
-            got = mean_integral(lambda th: psd_eval(spec, th))
-            assert got == pytest.approx(expected, abs=1e-8)
-
-    def test_panel_halving_reduces_error(self):
-        # oscillatory but smooth: mean of exp(cos(20 theta)) is I0(1)
-        from scipy.special import i0
-        truth = float(i0(1.0))
-        errs = []
-        for m in (8, 16, 32):
-            edges = _panel_edges(-PI, PI, m, [], 0)
-            errs.append(abs(_integrate_panels(np.vectorize(
-                lambda t: math.exp(math.cos(20 * t))), edges) / (2 * PI) - truth))
-        for coarse, fine in zip(errs, errs[1:]):
-            if coarse > 1e-13:
-                assert fine <= coarse / 4.0
-
-    def test_nonconvergence_raises(self):
-        cfg = QuadratureConfig(abs_tolerance=1e-300)
-
-        def f(th):
-            return np.log2(np.maximum(psd_eval(PAPER_CHANNEL, th), 1e-300))
-
-        with pytest.raises(ConvergenceError):
-            mean_integral(f, cfg, singular_points=[PI])
-
-
-class TestPsdZeros:
-    def test_paper_channel_zero_at_pi(self):
-        assert psd_zeros(PAPER_CHANNEL) == (PI,)
-
-    def test_white_has_no_zeros(self):
-        assert psd_zeros(PsdSpec.white(1.0)) == ()
-
-    def test_sign_flipped_ma_zero_at_origin(self):
-        spec = PsdSpec.ma([1.0, -1.0], 1.0)
-        zeros = psd_zeros(spec)
-        assert len(zeros) == 1
-        assert zeros[0] == 0.0
-        assert psd_eval(spec, zeros[0]) <= 1e-11 * 4.0
-
-    def test_interior_zero_from_samples(self):
-        th = np.linspace(0.0, PI, 513)
-        k = 170
-        vals = np.abs(np.cos(th) - np.cos(th[k]))
-        vals[k] = 0.0
-        zeros = psd_zeros(PsdSpec.from_samples(vals))
-        assert len(zeros) == 1
-        assert zeros[0] == pytest.approx(th[k], abs=1e-3)
 
 
 class TestNoiseSampler:

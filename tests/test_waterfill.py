@@ -5,12 +5,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
-from gfcap import spectrum, waterfill
+from gfcap import waterfill
 from gfcap.spectrum import (
     PAPER_CHANNEL,
     ConvergenceError,
     PsdSpec,
-    _panel_edges,
     psd_eval,
 )
 from gfcap.waterfill import nonfeedback_capacity, water_level
@@ -375,25 +374,40 @@ def test_random_ma_capacity_against_scipy(seed, q, power):
 
 def test_paper_channel_work_budget(monkeypatch):
     """One capacity solve on the paper channel evaluates the spectrum in at
-    most 3 calls over 4,000 points, and needs no zero scan or singular
-    quadrature."""
+    most 3 calls over 4,000 points."""
     sizes = []
 
     def counted(spec, theta):
         sizes.append(np.size(theta))
         return psd_eval(spec, theta)
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("not expected in a capacity solve")
-
     monkeypatch.setattr(waterfill, "psd_eval", counted)
-    for name in ("psd_zeros", "mean_integral"):
-        monkeypatch.setattr(spectrum, name, forbidden)
-        monkeypatch.setattr(waterfill, name, forbidden, raising=False)
     waterfill._capacity_cached.cache_clear()
     nonfeedback_capacity(PAPER_CHANNEL, 1.0)
     assert 1 <= len(sizes) <= 3
     assert sum(sizes) <= 4000
+
+
+def test_paper_channel_at_high_power_is_exact():
+    """At P = 1e6 the whole band fills: nu = mean S + P = 1e6 + 2 and, since
+    mean ln S = 0 on the paper channel, C = 0.5 log2(1e6 + 2).  The power
+    check is held to tol * P here, above its roundoff floor 4 eps P."""
+    sol = nonfeedback_capacity(PAPER_CHANNEL, 1e6)
+    assert sol.water_level == 1e6 + 2.0
+    assert sol.capacity_bits == pytest.approx(0.5 * math.log2(1e6 + 2.0),
+                                              abs=1e-12)
+    assert sol.power_residual <= 1e-10 * 1e6
+
+
+def test_samples_at_high_power_is_exact():
+    """Samples [1, 2, 3, 2, 1] fill completely at P = 1e6: nu = 2 + P, and
+    the mean of ln S over the four linear pieces is (3 ln 3 - 2) / 2."""
+    sol = nonfeedback_capacity(PsdSpec.from_samples([1, 2, 3, 2, 1]), 1e6)
+    mean_log = (3.0 * math.log(3.0) - 2.0) / 2.0
+    assert sol.water_level == 1e6 + 2.0
+    assert sol.capacity_bits == pytest.approx(
+        0.5 * (math.log(1e6 + 2.0) - mean_log) / math.log(2.0), abs=1e-12)
+    assert sol.power_residual <= 1e-10 * 1e6
 
 
 # S in the distance u from the zero: u = pi - theta, or theta for (1 - z)^2
@@ -413,33 +427,7 @@ def test_multiple_unit_circle_zeros_raise_or_are_exact(taps, s):
     assert got == pytest.approx(cap, abs=1e-10)
 
 
-# ---- reference loops for the vectorised spectrum code --------------------
-
-def panel_edges_loop(lo, hi, n_panels, singular_points, depth):
-    edges = list(np.linspace(lo, hi, n_panels + 1))
-    h = (hi - lo) / n_panels
-    for s in singular_points:
-        if lo < s < hi:
-            edges.append(s)
-        for k in range(depth + 1):
-            w = h * 0.5 ** k
-            for e in (s - w, s + w):
-                if lo < e < hi:
-                    edges.append(e)
-    return np.unique(np.asarray(edges, dtype=float))
-
-
-def test_panel_edges_match_loop_bit_for_bit():
-    rng = np.random.default_rng(7)
-    sets = [(), (PI,), (-PI, 0.0, PI), (1.0, 1.0), (2.5, -4.0)]
-    sets += [tuple(np.sort(rng.uniform(-PI, PI, n))) for n in (1, 3, 8)]
-    for n_panels in (8, 64, 1024):
-        for depth in (0, 5, 48):
-            for sing in sets:
-                want = panel_edges_loop(-PI, PI, n_panels, sing, depth)
-                got = _panel_edges(-PI, PI, n_panels, sing, depth)
-                assert np.array_equal(got, want)
-
+# ---- reference loop for the vectorised spectrum code ---------------------
 
 def psd_eval_loop(spec, th):
     acc = np.zeros(th.shape, dtype=complex)
