@@ -9,6 +9,7 @@ from .spectrum import (
     QuadratureConfig,
     UnsupportedFormError,
     load_psd,
+    psd_describe,
     psd_eval,
     sample_noise_path,
 )
@@ -17,9 +18,11 @@ from .feedback import (
     BoundReport,
     SkSolution,
     chen_yanagi_bound,
+    chen_yanagi_curve,
     conjecture_check,
     conjecture_margin,
     cover_pombra_bounds,
+    default_alpha_grid,
     minimize_cy,
     sandwich_failures,
     sk_poly,
@@ -52,12 +55,15 @@ __all__ = [
     "WaterfillSolution",
     "brute_force_conditioning",
     "chen_yanagi_bound",
+    "chen_yanagi_curve",
     "conjecture_check",
     "conjecture_margin",
     "cover_pombra_bounds",
+    "default_alpha_grid",
     "load_psd",
     "minimize_cy",
     "nonfeedback_capacity",
+    "psd_describe",
     "psd_eval",
     "sample_noise_path",
     "sandwich_failures",

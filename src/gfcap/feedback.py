@@ -15,9 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import PAPER_CHANNEL, PsdSpec, QuadratureConfig
+from .spectrum import (
+    PAPER_CHANNEL,
+    ConvergenceError,
+    PsdSpec,
+    QuadratureConfig,
+)
 from .waterfill import nonfeedback_capacity
 
+_EPS = np.finfo(float).eps
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # width of the alpha bracket at which minimize_cy's golden section stops
 _ALPHA_TOL = 1e-6
@@ -61,13 +67,17 @@ def sk_root(power: float) -> SkSolution:
     """Unique root of P*x^2 = (1+x)(1-x)^3 in (0, 1) and the rate -log2 x0.
 
     P*x^2 is strictly increasing and (1+x)(1-x)^3 strictly decreasing on
-    [0, 1], so the bracket (f(0) = -1 < 0 < P = f(1)) pins exactly one
-    root.  Bisection gives a guaranteed enclosure; a few Newton steps
-    polish it to full double precision.
+    [0, 1], so the bracket [0, h] with h = min(1, P^-1/2) pins exactly one
+    root: f(0) = -1 < 0 <= 1 - (1+h)(1-h)^3 <= f(h).  The root exceeds h/3,
+    so bisection gives an enclosure tight relative to x0 at any P, and a
+    few Newton steps, kept inside it, polish it to full double precision.
+    The residual is held to a few ulps of its scale, the two terms of f
+    and the rounding of x times f'; ConvergenceError is raised if it is
+    not.
     """
     if not 0 < power < math.inf:
         raise ValueError("power must be positive and finite")
-    lo, hi = 0.0, 1.0
+    lo, hi = 0.0, min(1.0, 1.0 / math.sqrt(power))
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if sk_poly(power, mid) < 0.0:
@@ -76,10 +86,18 @@ def sk_root(power: float) -> SkSolution:
             hi = mid
     x = 0.5 * (lo + hi)
     for _ in range(3):
-        x -= sk_poly(power, x) / _sk_poly_deriv(power, x)
+        # near x = 1 at tiny P, f' is tiny and a free step leaves [0, 1]
+        x = min(max(x - sk_poly(power, x) / _sk_poly_deriv(power, x), lo), hi)
     x = min(max(x, 1e-300), 1.0 - 1e-16)
+    residual = abs(sk_poly(power, x))
+    scale = (power * x * x + (1.0 + x) * (1.0 - x) ** 3
+             + x * _sk_poly_deriv(power, x))
+    if not residual <= 8.0 * _EPS * scale:
+        raise ConvergenceError(
+            f"sk_root residual {residual:.2e} at P = {power:g} exceeds "
+            f"{8.0 * _EPS * scale:.2e}, 8 ulps of its scale")
     return SkSolution(power=float(power), x0=x, rate_bits=-math.log2(x),
-                      residual=abs(sk_poly(power, x)))
+                      residual=residual)
 
 
 def sk_rate_threshold() -> float:

@@ -6,6 +6,11 @@ F(nu) = mean((nu - S)^+).  F is convex and nondecreasing, with slope
 F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi.  Both are evaluated in
 closed form from the exact crossings of S = nu, so Newton's method from
 nu0 = mean(S) + P, where F(nu0) >= P, falls monotonically onto the root.
+For MA spectra the crossings are the real roots of a Chebyshev series in
+cos(theta), polished by Newton in theta itself; and once nu is at least
+sigma2 (sum |b_k|)^2 >= max S, the whole band fills and
+F(nu) = nu - mean(S) with no root finding, so a full band's level is
+mean(S) + P exactly.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
@@ -15,13 +20,16 @@ and no quadrature ever sees the log singularity at a zero of S:
 - samples: S is linear between the nodes and crossings, and ln S has an
   antiderivative on each filled piece;
 - ma: Jensen's formula gives mean ln S from the roots of
-  B(z) = sum_k b_k z^k, and int_F ln S = pi mean ln S - int_U ln S, where
-  S >= nu > 0 on the unfilled set U, so int_U ln S is smooth.
+  B(z) = sum_k b_k z^k, the eigenvalues of its companion matrix, and
+  int_F ln S = pi mean ln S - int_U ln S, where S >= nu > 0 on the
+  unfilled set U, so int_U ln S is smooth.
 
 One composite Gauss-Legendre pass over [0, pi], whose panel edges include
 the solve's breakpoints, integrates ln S over U and, as a check on the
 solve that shares none of its code, nu - S over F: the power residual.
-A spectrum that vanishes on a band has infinite capacity and is rejected.
+The panels double until two levels agree; the first two levels are
+evaluated from one psd_eval call.  A spectrum that vanishes on a band has
+infinite capacity and is rejected.
 """
 
 from __future__ import annotations
@@ -50,6 +58,7 @@ _PANELS = 32
 # 16-point Gauss-Legendre rule on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _HALF_TURN = np.array([0.0, math.pi])
+_FULL_BAND = np.array([True])
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
 # crossings.  Extra candidates are harmless (each band is decided by the
 # sign of S - nu at its midpoint), so the window is generous.
@@ -75,27 +84,42 @@ def _cosine_series(spec: PsdSpec):
     return c
 
 
-def _ma_crossings(c, dc, nu):
-    """Angles in [0, pi] where sum_k c[k] cos(k theta) = nu: real roots in
-    [-1, 1] of the Chebyshev series c - nu, polished by Newton in x.  dc is
-    the derivative of c, which is also that of c - nu."""
+def _ma_crossings(c, nu):
+    """Angles in [0, pi] where S(theta) = sum_k c[k] cos(k theta) = nu:
+    real roots in [-1, 1] of the Chebyshev series c - nu, mapped to theta
+    and polished by Newton in theta, where a crossing near 0 or pi keeps
+    the digits that arccos loses.  A step is kept only where it lowers
+    |S - nu|."""
     p = c.copy()
     p[0] -= nu
     x = chebyshev.chebroots(p)
     x = np.clip(x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
                        & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)], -1.0, 1.0)
+    k = np.arange(1, len(c))
+    kc = k * c[1:]
+
+    def gap_and_slope(theta):
+        arg = np.outer(theta, k)
+        return p[0] + np.cos(arg) @ c[1:], -(np.sin(arg) @ kc)
+
+    theta = np.arccos(x)
+    gap, slope = gap_and_slope(theta)
     for _ in range(2):
-        px = chebyshev.chebval(x, p)
+        # a zero slope gives a step to 0 or pi, or nan, and nan is never kept
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(x - px / chebyshev.chebval(x, dc), -1.0, 1.0)
-        better = np.abs(chebyshev.chebval(step, p)) < np.abs(px)
-        x = np.where(better, step, x)
-    return np.arccos(x)
+            step = np.clip(theta - gap / slope, 0.0, math.pi)
+            step_gap, step_slope = gap_and_slope(step)
+        better = np.abs(step_gap) < np.abs(gap)
+        theta = np.where(better, step, theta)
+        gap = np.where(better, step_gap, gap)
+        slope = np.where(better, step_slope, slope)
+    return theta
 
 
-def _level_terms(spec: PsdSpec):
-    """The map nu -> (F(nu), F'(nu), edges, filled) for one spectrum, with
-    everything that depends only on the spectrum computed once, here.
+def _level_terms(spec: PsdSpec, mean, bound):
+    """The map nu -> (F(nu), F'(nu), edges, filled) for one spectrum with
+    the given mean(S) and bound on max S, with everything that depends only
+    on the spectrum computed once, here.
 
     The breakpoints `edges` (0, pi, every crossing and, for samples, every
     node) split [0, pi] into pieces on which S - nu keeps one sign;
@@ -110,13 +134,12 @@ def _level_terms(spec: PsdSpec):
         return terms
     if spec.form == "ma":
         c = _cosine_series(spec)
-        dc = chebyshev.chebder(c)
         k = np.arange(1, len(c))
         weights = 2.0 * c[1:] / k
 
         def pieces(nu):
             edges = np.unique(np.concatenate(([0.0, math.pi],
-                                              _ma_crossings(c, dc, nu))))
+                                              _ma_crossings(c, nu))))
             mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
             cos_mid = np.cos(np.outer(mids, k))
             filled = c[0] + cos_mid @ c[1:] < nu
@@ -144,6 +167,12 @@ def _level_terms(spec: PsdSpec):
             return edges, gap > 0.0, np.diff(edges) * gap
 
     def terms(nu):
+        # at or above the bound on max S an MA band fills completely and
+        # F = nu - mean(S) exactly, with no crossing to search for.  A
+        # samples spectrum keeps its nodes as edges even then: its filled
+        # log integral reads S as linear between consecutive edges.
+        if spec.form == "ma" and nu >= bound:
+            return nu - mean, 1.0, _HALF_TURN, _FULL_BAND
         edges, filled, areas = pieces(nu)
         return (float(np.sum(areas[filled])) / math.pi,
                 float(np.sum(np.diff(edges)[filled])) / math.pi,
@@ -177,8 +206,8 @@ def _solve_level(spec: PsdSpec, power: float):
     """
     if not 0 < power < math.inf:
         raise ValueError("power budget must be positive and finite")
-    terms = _level_terms(spec)
     mean, bound = _mean_and_bound(spec)
+    terms = _level_terms(spec, mean, bound)
     nu = mean + power
     for _ in range(_NEWTON_MAX_ITER):
         filled_power, slope, edges, filled = terms(nu)
@@ -225,15 +254,26 @@ def _jensen_mean_log(spec: PsdSpec, tol: float):
     of a true one, to first order.  Only a root within dz of the unit
     circle may lie on the other side of it and so move the sum, by at most
     dz; the sum of those dz, in bits, must not exceed tol.
+
+    The roots are the eigenvalues of B's companion matrix (MA(1) has the
+    one root -b0 / b1), and one Horner pass gives B(z), B'(z) and
+    sum_j |b_j| |z|^j, the scale of the rounding of B(z).
     """
     b = np.trim_zeros(np.asarray(spec.coeffs), "b")
-    poly = b[::-1]
-    z = np.roots(poly)
+    if len(b) <= 2:
+        z = -b[:-1] / b[-1]
+    else:
+        companion = np.eye(len(b) - 1, k=-1)
+        companion[0] = -b[-2::-1] / b[-1]
+        z = np.linalg.eigvals(companion)
     r = np.abs(z)
+    value, slope, scale = np.zeros_like(z), np.zeros_like(z), np.zeros_like(r)
+    for bj in b[::-1]:
+        slope = slope * z + value
+        value = value * z + bj
+        scale = scale * r + abs(bj)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dz = ((np.abs(np.polyval(poly, z))
-               + 2 * len(b) * _EPS * np.polyval(np.abs(poly), r))
-              / np.abs(np.polyval(np.polyder(poly), z)))
+        dz = (np.abs(value) + 2 * len(b) * _EPS * scale) / np.abs(slope)
     bound = float(np.sum(dz[np.abs(r - 1.0) <= dz])) / _LN2
     if not bound <= tol:
         raise ConvergenceError(
@@ -262,18 +302,34 @@ def _filled_log_samples(spec: PsdSpec, edges, filled):
     return float(np.diff(edges)[filled] @ (np.log(m) + g))
 
 
-def _band_integrals(psd: PsdSpec, nu, edges, filled, n_panels):
-    """(int_U ln S, int_F (nu - S)) / pi by 16-point Gauss-Legendre on the
-    panels of [0, pi] cut at n_panels uniform steps and at every edge, from
-    one psd_eval."""
-    grid = np.unique(np.concatenate(
-        (np.linspace(0.0, math.pi, n_panels + 1), edges)))
-    mid, half = 0.5 * (grid[:-1] + grid[1:]), 0.5 * np.diff(grid)
+def _band_integrals(psd: PsdSpec, nu, edges, filled, panel_counts):
+    """For each n in panel_counts, (int_U ln S, int_F (nu - S)) / pi by
+    16-point Gauss-Legendre on the panels of [0, pi] cut at n uniform steps
+    and at every edge, all from one psd_eval."""
+    grids = [np.unique(np.concatenate((np.linspace(0.0, math.pi, n + 1),
+                                       edges)))
+             for n in panel_counts]
+    mid = np.concatenate([0.5 * (g[:-1] + g[1:]) for g in grids])
+    half = np.concatenate([0.5 * np.diff(g) for g in grids])
     in_f = filled[np.searchsorted(edges, mid) - 1]
     s = psd_eval(psd, mid[:, None] + half[:, None] * _GL_NODES)
     w = half[:, None] * _GL_WEIGHTS
-    return (float(np.sum(w[~in_f] * np.log(s[~in_f]))) / math.pi,
-            float(np.sum(w[in_f] * (nu - s[in_f]))) / math.pi)
+    ends = np.cumsum([0] + [len(g) - 1 for g in grids])
+    out = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        wl, sl, fl = w[lo:hi], s[lo:hi], in_f[lo:hi]
+        out.append((float(np.sum(wl[~fl] * np.log(sl[~fl]))) / math.pi,
+                    float(np.sum(wl[fl] * (nu - sl[fl]))) / math.pi))
+    return out
+
+
+def _quadrature_levels(psd: PsdSpec, nu, edges, filled):
+    """_band_integrals at _PANELS, 2 _PANELS, 4 _PANELS, ... panels, up to
+    _MAX_LEVELS levels.  The first two levels share one psd_eval, since
+    the agreement test needs both and most solves stop there."""
+    counts = [_PANELS << i for i in range(_MAX_LEVELS)]
+    for batch in (counts[:2], *([n] for n in counts[2:])):
+        yield from _band_integrals(psd, nu, edges, filled, batch)
 
 
 def _check_floor(tol, *values):
@@ -304,10 +360,9 @@ def _capacity_cached(psd, power, config):
     # panels double until two levels agree on both numbers: the capacity
     # within tol, the filled power (about P) within tol * max(1, P)
     power_tol = tol * max(1.0, power)
-    n_panels, prev = _PANELS, None
-    for _ in range(_MAX_LEVELS):
-        unfilled_log, filled_power = _band_integrals(psd, nu, edges, filled,
-                                                     n_panels)
+    prev = None
+    for unfilled_log, filled_power in _quadrature_levels(psd, nu, edges,
+                                                         filled):
         if psd.form == "ma":
             filled_log = mean_log - unfilled_log
         capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
@@ -317,10 +372,9 @@ def _capacity_cached(psd, power, config):
                 and abs(filled_power - prev[1]) <= power_tol:
             return nu, crossings, capacity, abs(filled_power - power)
         prev = capacity, filled_power
-        n_panels *= 2
     raise ConvergenceError(
         f"capacity quadrature did not reach tolerance {tol:g} after "
-        f"refinement up to {n_panels // 2} panels")
+        f"refinement up to {_PANELS << (_MAX_LEVELS - 1)} panels")
 
 
 def nonfeedback_capacity(psd: PsdSpec, power: float,

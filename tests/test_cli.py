@@ -77,6 +77,13 @@ class TestSkRateCommand:
         assert code == 0
         assert doc["outputs"]["rate_bits"] == pytest.approx(0.0, abs=1e-2)
 
+    def test_huge_power(self, capsys):
+        # x0 = 1e-50 to within 1e-17 relative, so the rate is log2(1e50)
+        code, doc, _ = run_json(capsys, "sk-rate", "--power", "1e100")
+        assert code == 0
+        assert doc["outputs"]["rate_bits"] == pytest.approx(
+            50.0 * math.log2(10.0), abs=1e-12)
+
 
 class TestBoundsCommand:
     def test_paper_channel_table(self, capsys):

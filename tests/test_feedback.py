@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from gfcap.feedback import (
     chen_yanagi_bound,
@@ -73,6 +74,27 @@ class TestSkRoot:
         r = np.array([s.rate_bits for s in roots])
         assert np.all(np.diff(x) < 0)
         assert np.all(np.diff(r) > 0)
+
+    @pytest.mark.parametrize("power", [1e40, 1e50, 1e100, 1e300])
+    def test_huge_power_against_scaled_oracle(self, power):
+        """With x = y / sqrt(P) the root equation reads
+        y^2 = (1 + y/sqrt(P))(1 - y/sqrt(P))^3, whose root y lies in
+        (0, 1] at every P >= 1; brentq solves it without scale trouble."""
+        r = math.sqrt(power)
+        y = brentq(lambda y: y * y - (1.0 + y / r) * (1.0 - y / r) ** 3,
+                   0.0, 1.0, xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        sol = sk_root(power)
+        assert sol.x0 == pytest.approx(y / r, rel=1e-14)
+        assert sol.rate_bits == pytest.approx(math.log2(r) - math.log2(y),
+                                              abs=1e-12)
+
+    @pytest.mark.parametrize("power", [1e-60, 1e-300])
+    def test_tiny_power_stays_next_to_one(self, power):
+        # the root 1 - (P/2)^(1/3) rounds to 1, and x0 < 1 is the double
+        # just below it: a free Newton step from there used to leave [0, 1]
+        sol = sk_root(power)
+        assert 1.0 - np.finfo(float).eps <= sol.x0 < 1.0
+        assert 0.0 < sol.rate_bits <= 2 * np.finfo(float).eps
 
 
 class TestRateThreshold:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
@@ -372,9 +373,8 @@ def test_random_ma_capacity_against_scipy(seed, q, power):
         oracle.capacity(oracle.level(power)), abs=1e-10)
 
 
-def test_paper_channel_work_budget(monkeypatch):
-    """One capacity solve on the paper channel evaluates the spectrum in at
-    most 3 calls over 4,000 points."""
+def counted_psd_eval(monkeypatch):
+    """Patch waterfill's psd_eval to record the size of each call."""
     sizes = []
 
     def counted(spec, theta):
@@ -383,9 +383,44 @@ def test_paper_channel_work_budget(monkeypatch):
 
     monkeypatch.setattr(waterfill, "psd_eval", counted)
     waterfill._capacity_cached.cache_clear()
-    nonfeedback_capacity(PAPER_CHANNEL, 1.0)
-    assert 1 <= len(sizes) <= 3
+    return sizes
+
+
+def test_paper_channel_work_budget(monkeypatch):
+    """One capacity solve on the paper channel, which crosses the level at
+    P = 1, evaluates the spectrum in one call over at most 4,000 points:
+    the first two quadrature levels share it, and they agree."""
+    sizes = counted_psd_eval(monkeypatch)
+    sol = nonfeedback_capacity(PAPER_CHANNEL, 1.0)
+    assert len(sol.band_crossings) == 1
+    assert len(sizes) == 1
     assert sum(sizes) <= 4000
+
+
+@pytest.mark.parametrize("spec, power", [
+    (PAPER_CHANNEL, 7.0),
+    (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)), 1e3),
+], ids=["paper_p7", "ma8_p1e3"])
+def test_full_band_work_budget(monkeypatch, spec, power):
+    """At nu0 = mean S + P >= sigma2 (sum |b_k|)^2 >= max S the whole band
+    fills and nu0 is the level exactly, so no crossing is searched for
+    (no chebroots call) and one psd_eval serves the power check."""
+    b = np.asarray(spec.coeffs)
+    assert spec.sigma2 * float(b @ b) + power >= \
+        spec.sigma2 * float(np.abs(b).sum()) ** 2
+    chebroots, roots = waterfill.chebyshev.chebroots, []
+
+    def counted_roots(p):
+        roots.append(p)
+        return chebroots(p)
+
+    monkeypatch.setattr(waterfill.chebyshev, "chebroots", counted_roots)
+    sizes = counted_psd_eval(monkeypatch)
+    sol = nonfeedback_capacity(spec, power)
+    assert roots == []
+    assert len(sizes) == 1
+    assert sol.water_level == spec.sigma2 * float(b @ b) + power
+    assert sol.band_crossings == ()
 
 
 def test_paper_channel_at_high_power_is_exact():
@@ -447,3 +482,108 @@ def test_horner_psd_eval_matches_per_tap_sum():
             <= bound
         assert psd_eval(spec, 0.3) == pytest.approx(
             float(psd_eval_loop(spec, np.asarray(0.3))), abs=bound)
+
+
+# ---- reference forms of the crossing polish and of Jensen's formula -------
+
+def ma_crossings_chebval(c, nu):
+    """The crossings of S = nu polished by Newton in x = cos(theta) with
+    chebval, as before the polish moved to theta."""
+    dc = chebyshev.chebder(c)
+    p = c.copy()
+    p[0] -= nu
+    x = chebyshev.chebroots(p)
+    window = waterfill._ROOT_WINDOW
+    x = np.clip(x.real[(np.abs(x.imag) <= window)
+                       & (np.abs(x.real) <= 1.0 + window)], -1.0, 1.0)
+    for _ in range(2):
+        px = chebyshev.chebval(x, p)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.clip(x - px / chebyshev.chebval(x, dc), -1.0, 1.0)
+        better = np.abs(chebyshev.chebval(step, p)) < np.abs(px)
+        x = np.where(better, step, x)
+    return np.arccos(x)
+
+
+def jensen_polyval(spec):
+    """(mean ln S, its error bound in bits, the sum of the magnitudes of
+    its terms) by Jensen's formula from np.roots, with B, B' and the
+    rounding scale of B from np.polyval."""
+    b = np.trim_zeros(np.asarray(spec.coeffs), "b")
+    poly = b[::-1]
+    z = np.roots(poly)
+    r = np.abs(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dz = ((np.abs(np.polyval(poly, z))
+               + 2 * len(b) * EPS * np.polyval(np.abs(poly), r))
+              / np.abs(np.polyval(np.polyder(poly), z)))
+    bound = float(np.sum(dz[np.abs(r - 1.0) <= dz])) / math.log(2.0)
+    terms = [math.log(spec.sigma2), 2.0 * math.log(abs(b[-1])),
+             2.0 * float(np.sum(np.log(np.maximum(r, 1.0))))]
+    return sum(terms), bound, sum(map(abs, terms))
+
+
+def random_ma_spectra(seed, count):
+    """MA(1..16) spectra: Gaussian taps, and taps whose roots include a real
+    one on or within 1e-9 of the unit circle, where the error bound of the
+    roots need not be 0."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        q = int(rng.integers(1, 17))
+        sigma2 = float(10 ** rng.uniform(-1, 1))
+        if i % 2 == 0:
+            yield PsdSpec.ma(rng.standard_normal(q + 1), sigma2)
+            continue
+        roots = [rng.choice((-1.0, 1.0)) * (1.0 + rng.choice((0.0, 1e-9,
+                                                               -1e-9)))]
+        while len(roots) < q:
+            r = rng.uniform(0.2, 3.0)
+            if len(roots) <= q - 2 and rng.uniform() < 0.5:
+                z = r * np.exp(1j * rng.uniform(0.1, PI - 0.1))
+                roots += [z, np.conj(z)]
+            else:
+                roots.append(r * rng.choice((-1.0, 1.0)))
+        # np.poly lists z^q first; tap b_k multiplies z^k
+        yield PsdSpec.ma(np.real(np.poly(roots))[::-1], sigma2)
+
+
+def test_theta_polish_matches_chebval_polish():
+    rng = np.random.default_rng(61)
+    count = 0
+    for spec in random_ma_spectra(60, 600):
+        c = waterfill._cosine_series(spec)
+        s = psd_eval(spec, np.linspace(0.0, PI, 513))
+        nu = float(rng.uniform(s.min(), s.max()))
+        ref = ma_crossings_chebval(c, nu)
+        got = waterfill._ma_crossings(c, nu)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= 1e-13)
+        count += len(got)
+    assert count >= 1000
+
+
+def test_jensen_eigensolve_matches_np_roots():
+    nonzero_bounds = 0
+    for spec in random_ma_spectra(62, 600):
+        mean_log, bound, scale = jensen_polyval(spec)
+        waterfill._jensen_mean_log.cache_clear()
+        got = waterfill._jensen_mean_log(spec, 1.0)
+        assert got == pytest.approx(mean_log, abs=4 * EPS * max(scale, 1.0))
+        # the two error bounds agree within a factor of 2: tol = 2 bound
+        # passes and tol = bound / 2 raises (bound 0: no tol raises)
+        waterfill._jensen_mean_log(spec, 2.0 * bound or 1e-300)
+        if bound > 0.0:
+            nonzero_bounds += 1
+            with pytest.raises(ConvergenceError):
+                waterfill._jensen_mean_log(spec, 0.5 * bound)
+    assert nonzero_bounds >= 50
+
+
+@pytest.mark.parametrize("taps", [(1.0, 2.0, 1.0), (1.0, -2.0, 1.0),
+                                  (1.0, 3.0, 3.0, 1.0)])
+def test_multiple_unit_circle_zeros_exceed_both_bounds(taps):
+    spec = PsdSpec.ma(taps)
+    assert jensen_polyval(spec)[1] > 1e-10
+    waterfill._jensen_mean_log.cache_clear()
+    with pytest.raises(ConvergenceError):
+        waterfill._jensen_mean_log(spec, 1e-10)
