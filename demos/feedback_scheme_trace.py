@@ -31,7 +31,7 @@ def main():
     print("Channel: S_Z(theta) = 2(1 + cos theta), power P = 1")
     print()
 
-    cfg = SchemeConfig(power=1.0, horizon=400, rate_bits=1.0, burn_in=100)
+    cfg = SchemeConfig(power=1.0, horizon=400, rate_bits=1.0)
     trace = variance_recursion(cfg, PAPER_CHANNEL)
 
     print("First steps of the deterministic trace:")
@@ -47,7 +47,7 @@ def main():
     print("Long-run contraction vs. the polynomial root:")
     print(f"{'P':>6}  {'measured':>12}  {'root x0':>12}  {'rate (bits)':>12}")
     for p in (0.5, 1.0, 2.0, 3.0):
-        c = SchemeConfig(power=p, horizon=400, rate_bits=1.0, burn_in=100)
+        c = SchemeConfig(power=p, horizon=400, rate_bits=1.0)
         t = variance_recursion(c, PAPER_CHANNEL)
         root = sk_root(p)
         print(f"{p:6.2f}  {t.contraction_estimate:12.9f}  "

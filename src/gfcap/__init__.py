@@ -11,7 +11,6 @@ from .spectrum import (
     load_psd,
     psd_describe,
     psd_eval,
-    sample_noise_path,
 )
 from .waterfill import WaterfillSolution, nonfeedback_capacity, water_level
 from .feedback import (
@@ -65,7 +64,6 @@ __all__ = [
     "nonfeedback_capacity",
     "psd_describe",
     "psd_eval",
-    "sample_noise_path",
     "sandwich_failures",
     "simulate_transmission",
     "sk_poly",

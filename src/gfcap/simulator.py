@@ -42,7 +42,6 @@ class SchemeConfig:
     horizon: int
     rate_bits: float
     seed: int = 0
-    burn_in: int | None = None
 
     def __post_init__(self):
         if not 0 < self.power < math.inf:
@@ -53,12 +52,6 @@ class SchemeConfig:
             raise ValueError("rate must be positive and finite")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.burn_in is not None and self.burn_in >= self.horizon:
-            raise ValueError("burn_in must be smaller than the horizon")
-
-    @property
-    def effective_burn_in(self) -> int:
-        return self.horizon // 4 if self.burn_in is None else self.burn_in
 
     @property
     def message_grid_saturated(self) -> bool:
@@ -164,16 +157,17 @@ def _propagate(power, taps, sigma2, n, var_theta=MESSAGE_PRIOR_VARIANCE):
     return steps, np.asarray(log2ev)
 
 
-def _trace_from(steps, log2ev, power, burn_in):
-    ratios = np.asarray([st.ratio for st in steps])
-    signs = np.asarray([st.sign for st in steps])
-    estimate = float(np.exp(np.mean(np.log(ratios[burn_in:]))))
+def _trace_from(config, ratios, signs, log2ev):
+    """The trace of a run from its per-step contractions and signs; the
+    estimate is their geometric mean after a burn-in of horizon // 4."""
+    ratios = np.asarray(ratios)
+    estimate = float(np.exp(np.mean(np.log(ratios[config.horizon // 4:]))))
     return VarianceTrace(
-        transmit_power=np.full(len(steps), power),
+        transmit_power=np.full(len(ratios), config.power),
         error_variance=np.exp2(log2ev),
         log2_error_variance=log2ev,
         contraction=ratios,
-        signs=signs,
+        signs=np.asarray(signs),
         contraction_estimate=estimate,
     )
 
@@ -187,7 +181,8 @@ def variance_recursion(config: SchemeConfig, noise: PsdSpec) -> VarianceTrace:
     """
     taps, sigma2 = _ma_taps(noise)
     steps, log2ev = _propagate(config.power, taps, sigma2, config.horizon)
-    return _trace_from(steps, log2ev, config.power, config.effective_burn_in)
+    return _trace_from(config, [st.ratio for st in steps],
+                       [st.sign for st in steps], log2ev)
 
 
 def brute_force_conditioning(config: SchemeConfig, noise: PsdSpec,
@@ -231,10 +226,7 @@ def brute_force_conditioning(config: SchemeConfig, noise: PsdSpec,
         signs.append(sign)
         ratios.append(math.sqrt(v_new / v_prev))
         log2ev.append(math.log2(v_new))
-    steps = [_Step(sign=sg, gain_vec=np.empty(0), innov_var=0.0, ratio=r)
-             for sg, r in zip(signs, ratios)]
-    return _trace_from(steps, np.asarray(log2ev), config.power,
-                       config.effective_burn_in)
+    return _trace_from(config, ratios, signs, np.asarray(log2ev))
 
 
 def _block_draws(seed, block, size, levels, n):
@@ -246,62 +238,56 @@ def _block_draws(seed, block, size, levels, n):
     return rng.integers(0, levels, size=size), rng.standard_normal((size, n))
 
 
-def _ma_filter(u, taps, sigma2):
-    """Each row of u filtered by the MA taps with zero pre-history: row r
-    equals sqrt(sigma2) * np.convolve(u[r], taps)[:n]."""
-    n = u.shape[1]
-    z = taps[0] * u
-    for k in range(1, min(len(taps), n)):
-        z[:, k:] += taps[k] * u[:, :n - k]
-    return math.sqrt(sigma2) * z
+def _noise_map(taps, sigma2, n):
+    """(n+1) x n map from (message error, u_1..u_n) to the MA noise
+    z_1..z_n: column i holds sqrt(sigma2) * taps[k] at row i+1-k.  Row 0
+    is zero, since the message error carries no noise and pre-history
+    innovations are zero."""
+    noise = sum(bk * np.eye(n + 1, n, k - 1) for k, bk in enumerate(taps))
+    noise[0] = 0.0
+    return math.sqrt(sigma2) * noise
 
 
-def _scheme_plan(config, taps, sigma2):
-    """Per-step constants of the scheme for the Monte Carlo: the transmit
-    gain, the innovation weights of the message error and of the pending
-    noise innovations, and the contraction; plus the final error std."""
+def _scheme_maps(config, taps, sigma2):
+    """The scheme as two linear maps of (normalized message error,
+    u_1..u_n): an (n+1) x n transmit map and an (n+1) final-error map.
+    The gains are fixed before any trial runs, so the per-step recursion
+    is run once, on the unit basis of the inputs."""
     steps, log2ev = _propagate(config.power, taps, sigma2, config.horizon)
-    q = len(taps) - 1
+    n, q = config.horizon, len(taps) - 1
+    noise = _noise_map(taps, sigma2, n)
     sqrtP = math.sqrt(config.power)
-    plan = []
-    for st in steps:
+    e = np.zeros(n + 1)
+    e[0] = 1.0
+    pending = np.zeros((q, n + 1))   # means of the pending innovations
+    transmit = np.empty((n + 1, n))
+    for i, st in enumerate(steps):
         coef = st.gain_vec / st.innov_var
-        plan.append((st.sign * sqrtP, coef[0], coef[1:q + 1, None], st.ratio))
-    return plan, 2.0 ** (0.5 * log2ev[-1])
+        transmit[:, i] = st.sign * sqrtP * e
+        innov = transmit[:, i] + noise[:, i] - taps[1:] @ pending
+        pending = np.concatenate((np.zeros((1, n + 1)), pending))[:q]
+        pending += coef[1:q + 1, None] * innov
+        e = (e - coef[0] * innov) / st.ratio
+    return transmit, e * 2.0 ** (0.5 * log2ev[-1])
 
 
-def _block_sums(config, plan, final_std, taps, sigma2, block, size):
+def _block_sums(config, transmit, error, block, size):
     """Run one block of trials; returns (transmit power sum, decode
     errors, sum of squared final errors)."""
-    q = len(taps) - 1
     levels = config.pam_levels
     idx, u = _block_draws(config.seed, block, size, levels, config.horizon)
-    z = _ma_filter(u, taps, sigma2)
     theta = idx / (levels - 1) if levels > 1 else np.full(size, 0.5)
-
-    e = (theta - 0.5) / math.sqrt(MESSAGE_PRIOR_VARIANCE)
-    mW = np.zeros((q, size))   # conditional means of the pending innovations
-    power_sum = 0.0
-    for i, (gain, c_msg, c_pending, ratio) in enumerate(plan):
-        x = gain * e
-        power_sum += float(x @ x)
-        innov = x + z[:, i]
-        if q:
-            innov -= taps[1:] @ mW
-            mW[1:] = mW[:-1]
-            mW[0] = 0.0
-            mW += c_pending * innov
-        e -= c_msg * innov
-        e /= ratio
-
-    err = e * final_std
+    inputs = np.column_stack(
+        ((theta - 0.5) / math.sqrt(MESSAGE_PRIOR_VARIANCE), u))
+    x = inputs @ transmit
+    err = inputs @ error
     if levels > 1:
         decoded = np.clip(np.ceil((theta - err) * (levels - 1) - 0.5),
                           0, levels - 1).astype(np.int64)
         decode_errors = int(np.sum(decoded != idx))
     else:
         decode_errors = 0
-    return power_sum, decode_errors, float(err @ err)
+    return float(np.vdot(x, x)), decode_errors, float(err @ err)
 
 
 def simulate_transmission(config: SchemeConfig, noise: PsdSpec,
@@ -310,19 +296,22 @@ def simulate_transmission(config: SchemeConfig, noise: PsdSpec,
 
     Each trial draws a message uniformly from an equispaced grid on [0, 1],
     runs the scheme against a sampled noise path, and decodes by nearest
-    grid point (ties rounded toward the lower index).  Trials run in
-    blocks of MC_BLOCK; block b draws its messages and noise innovations
-    from a counter-based Philox stream keyed by (seed, b), and the block
-    sums are added with math.fsum, so the report is reproducible and does
-    not depend on the order in which blocks run.  Memory is bounded by one
-    block.
+    grid point (ties rounded toward the lower index).  The gains do not
+    depend on the draws, so the transmit sequence and the final error are
+    linear in (message error, noise innovations): the scheme is built once
+    as two maps, and a block of trials is its draws and two matrix
+    products.  Trials run in blocks of MC_BLOCK; block b draws its
+    messages and noise innovations from a counter-based Philox stream
+    keyed by (seed, b), and the block sums are added with math.fsum, so
+    the report is reproducible and does not depend on the order in which
+    blocks run.  Memory is bounded by one block and the two maps.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     taps, sigma2 = _ma_taps(noise)
     n = config.horizon
-    plan, final_std = _scheme_plan(config, taps, sigma2)
-    sums = [_block_sums(config, plan, final_std, taps, sigma2, b,
+    transmit, error = _scheme_maps(config, taps, sigma2)
+    sums = [_block_sums(config, transmit, error, b,
                         min(MC_BLOCK, trials - start))
             for b, start in enumerate(range(0, trials, MC_BLOCK))]
     power_sums, errors, sq_errs = zip(*sums)

@@ -1,5 +1,5 @@
 """Power spectral densities on [-pi, pi]: the PSD type, its evaluation,
-sampling of stationary Gaussian noise paths, and spec-file I/O.
+and spec-file I/O.
 
 A PSD can be given as a moving-average filter (coefficients plus innovation
 variance), as uniform samples on [0, pi] extended by even symmetry, or as a
@@ -117,21 +117,6 @@ def psd_eval(spec: PsdSpec, theta):
     if np.ndim(theta) == 0:
         return float(out)
     return out
-
-
-def sample_noise_path(spec: PsdSpec, n: int, seed: int):
-    """Draw n samples of the stationary noise via its MA innovations form.
-
-    Z_i = sqrt(sigma2) * sum_k coeffs[k] * U_{i-k} with U i.i.d. standard
-    normal; pre-history innovations are zero-padded.  Same seed, same path.
-    """
-    if spec.form != "ma":
-        raise UnsupportedFormError("noise sampling requires the ma form")
-    if n < 1:
-        raise ValueError("path length must be at least 1")
-    rng = np.random.default_rng(seed)
-    u = rng.standard_normal(n)
-    return math.sqrt(spec.sigma2) * np.convolve(u, spec.coeffs)[:n]
 
 
 def load_psd(source: str) -> PsdSpec:

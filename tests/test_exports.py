@@ -45,3 +45,9 @@ def test_allowlist_names_exist():
     for module_name, names in NOT_EXPORTED.items():
         module = importlib.import_module(module_name)
         assert {n for n in names if not hasattr(module, n)} == set()
+
+
+def test_removed_noise_sampler_is_gone():
+    assert not hasattr(gfcap, "sample_noise_path")
+    assert not hasattr(gfcap.spectrum, "sample_noise_path")
+    assert "sample_noise_path" not in gfcap.__all__

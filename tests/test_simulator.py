@@ -17,11 +17,12 @@ from gfcap.simulator import (
 from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, UnsupportedFormError
 
 WHITE = PsdSpec.white(1.0)
+SK_RATE_P1 = sk_root(1.0).rate_bits
 
 
-def config(power, horizon, rate=1.0, seed=0, burn_in=None):
+def config(power, horizon, rate=1.0, seed=0):
     return SchemeConfig(power=power, horizon=horizon, rate_bits=rate,
-                        seed=seed, burn_in=burn_in)
+                        seed=seed)
 
 
 class TestVarianceRecursion:
@@ -31,17 +32,17 @@ class TestVarianceRecursion:
         assert np.allclose(trace.contraction, 0.5, atol=1e-12)
 
     def test_ma1_contraction_matches_root_p1(self):
-        trace = variance_recursion(config(1.0, 400, burn_in=100), PAPER_CHANNEL)
+        trace = variance_recursion(config(1.0, 400), PAPER_CHANNEL)
         x0 = sk_root(1.0).x0
         assert abs(trace.contraction_estimate - x0) / x0 < 0.01
 
     def test_ma1_contraction_matches_root_p3(self):
-        trace = variance_recursion(config(3.0, 400, burn_in=100), PAPER_CHANNEL)
+        trace = variance_recursion(config(3.0, 400), PAPER_CHANNEL)
         x0 = sk_root(3.0).x0
         assert abs(trace.contraction_estimate - x0) / x0 < 0.01
 
     def test_rate_law_exceeds_one_bit(self):
-        trace = variance_recursion(config(1.0, 400, burn_in=100), PAPER_CHANNEL)
+        trace = variance_recursion(config(1.0, 400), PAPER_CHANNEL)
         rate = -math.log2(trace.contraction_estimate)
         assert rate > 1.0
         assert abs(rate - sk_root(1.0).rate_bits) / rate < 0.01
@@ -170,11 +171,11 @@ class TestMonteCarloBlocks:
         trials = 3 * MC_BLOCK + 77
         report = simulate_transmission(cfg, PAPER_CHANNEL, trials)
         taps, sigma2 = simulator._ma_taps(PAPER_CHANNEL)
-        plan, final_std = simulator._scheme_plan(cfg, taps, sigma2)
+        transmit, error = simulator._scheme_maps(cfg, taps, sigma2)
         sizes = [MC_BLOCK] * 3 + [77]
         order = np.random.default_rng(1).permutation(len(sizes))
-        sums = [simulator._block_sums(cfg, plan, final_std, taps, sigma2,
-                                      int(b), sizes[b]) for b in order]
+        sums = [simulator._block_sums(cfg, transmit, error, int(b), sizes[b])
+                for b in order]
         power, errors, sq_err = zip(*sums)
         assert report.empirical_avg_power == math.fsum(power) / (trials * 20)
         assert report.decode_errors == sum(errors)
@@ -189,13 +190,15 @@ class TestMonteCarloBlocks:
         n = 40
         _, u = simulator._block_draws(3, 2, MC_BLOCK, 1000, n)
         b = np.asarray(taps)
-        z = simulator._ma_filter(u, b, sigma2)
-        assert z.shape == (MC_BLOCK, n)
+        noise = simulator._noise_map(b, sigma2, n)
+        assert noise.shape == (n + 1, n)
+        # the message error carries no noise, pre-history innovations are 0
+        assert np.all(noise[0] == 0.0)
         bound = 8 * np.finfo(float).eps * math.sqrt(sigma2) \
             * np.abs(b).sum() * np.abs(u).max()
-        for row, u_row in zip(z, u):
+        for u_row in u:
             ref = math.sqrt(sigma2) * np.convolve(u_row, b)[:n]
-            assert np.max(np.abs(row - ref)) <= bound
+            assert np.max(np.abs(u_row @ noise[1:] - ref)) <= bound
 
     @pytest.mark.parametrize("noise", [
         PAPER_CHANNEL, WHITE, PsdSpec.ma([1.0, 0.6, -0.3, 0.2], 0.5),
@@ -210,9 +213,8 @@ class TestMonteCarloBlocks:
         monkeypatch.setattr(simulator, "_block_draws",
                             lambda *args: (idx, u))
         taps, sigma2 = simulator._ma_taps(noise)
-        plan, final_std = simulator._scheme_plan(cfg, taps, sigma2)
-        got = simulator._block_sums(cfg, plan, final_std, taps, sigma2, 0,
-                                    size)
+        transmit, error = simulator._scheme_maps(cfg, taps, sigma2)
+        got = simulator._block_sums(cfg, transmit, error, 0, size)
 
         steps, log2ev = simulator._propagate(1.0, taps, sigma2, n)
         z = np.array([math.sqrt(sigma2) * np.convolve(r, taps)[:n]
@@ -238,6 +240,27 @@ class TestMonteCarloBlocks:
         assert got[0] == pytest.approx(power_sum, rel=1e-12)
         assert got[1] == int(np.sum(decoded != idx))
         assert got[2] == pytest.approx(float(err @ err), rel=1e-9)
+
+    @pytest.mark.parametrize("noise, horizon, rate, seed, trials, golden", [
+        (PAPER_CHANNEL, 40, 0.9 * SK_RATE_P1, 7, 1000,
+         (688831356205, 0, 0.9874914160377257, 1.1007408300170871e-27)),
+        (PAPER_CHANNEL, 40, 1.2 * SK_RATE_P1, 8, 1000,
+         (6083458426328711, 998, 1.0095195032078361, 1.0935072201971659e-27)),
+        (PsdSpec.ma([1.0, 0.6, -0.3, 0.2], 0.5), 16, 0.9, 4, 3 * MC_BLOCK + 77,
+         (21619, 0, 0.9933245772984508, 3.2397102216134835e-13)),
+    ], ids=["paper-below", "paper-above", "ma3-blocks"])
+    def test_golden_reports_pin_the_random_stream(self, noise, horizon, rate,
+                                                  seed, trials, golden):
+        # pinned reports: a change to the (seed, block) keying, MC_BLOCK
+        # or the draw order moves them by far more than rounding
+        report = simulate_transmission(
+            SchemeConfig(1.0, horizon, rate, seed), noise, trials)
+        levels, errors, power, variance = golden
+        assert report.pam_levels == levels
+        assert report.decode_errors == errors
+        assert report.empirical_avg_power == pytest.approx(power, rel=1e-12)
+        assert report.empirical_error_variance == pytest.approx(variance,
+                                                                rel=1e-12)
 
     @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK,
                                         MC_BLOCK + 1])
@@ -268,8 +291,6 @@ class TestConfigValidation:
             SchemeConfig(power=1.0, horizon=1, rate_bits=1.0)
         with pytest.raises(ValueError):
             SchemeConfig(power=1.0, horizon=10, rate_bits=0.0)
-        with pytest.raises(ValueError):
-            SchemeConfig(power=1.0, horizon=10, rate_bits=1.0, burn_in=10)
 
     @pytest.mark.parametrize("power, rate", [(math.nan, 1.0),
                                              (math.inf, 1.0),
@@ -280,7 +301,16 @@ class TestConfigValidation:
             SchemeConfig(power=power, horizon=10, rate_bits=rate)
 
     def test_burn_in_default(self):
-        assert config(1.0, 400).effective_burn_in == 100
+        # the estimate is the geometric mean of the last 3/4 of the
+        # contractions; a short horizon, where they still move, tells a
+        # burn-in of 5 from 4 or 6
+        trace = variance_recursion(config(1.0, 20), PAPER_CHANNEL)
+        means = [math.exp(np.mean(np.log(trace.contraction[b:])))
+                 for b in (4, 5, 6)]
+        assert trace.contraction_estimate == pytest.approx(means[1],
+                                                           rel=1e-15)
+        for other in (means[0], means[2]):
+            assert abs(other / trace.contraction_estimate - 1) > 1e-7
 
     def test_message_grid_saturates_for_long_horizons(self):
         cfg = SchemeConfig(power=1.0, horizon=100, rate_bits=1.0)

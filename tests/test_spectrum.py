@@ -8,10 +8,8 @@ from gfcap.spectrum import (
     PAPER_CHANNEL,
     PsdSpec,
     QuadratureConfig,
-    UnsupportedFormError,
     load_psd,
     psd_eval,
-    sample_noise_path,
 )
 
 PI = math.pi
@@ -89,34 +87,6 @@ class TestPsdEval:
     def test_non_finite_fields_rejected(self, make):
         with pytest.raises(ValueError):
             make()
-
-
-class TestNoiseSampler:
-    def test_white_variance(self):
-        z = sample_noise_path(PsdSpec.ma([1.0], 1.0), 10 ** 5, seed=1)
-        se = math.sqrt(2.0 / len(z))
-        assert abs(np.var(z) - 1.0) < 3 * se
-
-    def test_ma1_autocovariance(self):
-        n = 10 ** 5
-        z = sample_noise_path(PAPER_CHANNEL, n, seed=2)
-        z = z - z.mean()
-        acov = [float(z[:n - k] @ z[k:]) / n for k in range(3)]
-        # 3-standard-error windows from the closed-form autocovariances 2, 1, 0
-        assert abs(acov[0] - 2.0) < 3 * math.sqrt(12.0 / n)
-        assert abs(acov[1] - 1.0) < 3 * math.sqrt(9.0 / n)
-        assert abs(acov[2] - 0.0) < 3 * math.sqrt(5.0 / n)
-
-    def test_deterministic_under_seed(self):
-        a = sample_noise_path(PAPER_CHANNEL, 4096, seed=42)
-        b = sample_noise_path(PAPER_CHANNEL, 4096, seed=42)
-        assert np.array_equal(a, b)
-
-    def test_rejects_non_ma_forms(self):
-        with pytest.raises(UnsupportedFormError):
-            sample_noise_path(PsdSpec.white(1.0), 10, seed=0)
-        with pytest.raises(ValueError):
-            sample_noise_path(PAPER_CHANNEL, 0, seed=0)
 
 
 class TestLoadPsd:
