@@ -22,7 +22,6 @@ from .feedback import (
     conjecture_margin,
     cover_pombra_bounds,
     default_alpha_grid,
-    minimize_cy,
     sandwich_failures,
     sk_poly,
     sk_rate_threshold,
@@ -60,7 +59,6 @@ __all__ = [
     "cover_pombra_bounds",
     "default_alpha_grid",
     "load_psd",
-    "minimize_cy",
     "nonfeedback_capacity",
     "psd_describe",
     "psd_eval",

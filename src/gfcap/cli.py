@@ -22,6 +22,7 @@ from .feedback import (
     conjecture_check,
     conjecture_margin,
     cover_pombra_bounds,
+    default_alpha_grid,
     sandwich_failures,
     sk_root,
 )
@@ -145,10 +146,10 @@ def cmd_bounds(args):
     started = time.perf_counter()
     psd = load_psd(args.psd)
     cfg = _quad_config(args)
+    alphas = default_alpha_grid(args.alpha_points, args.alpha_min,
+                                args.alpha_max)
     c_p = nonfeedback_capacity(psd, args.power, cfg).capacity_bits
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
-    alphas = np.logspace(np.log10(args.alpha_min), np.log10(args.alpha_max),
-                         args.alpha_points)
     curve, cy_alpha, cy_value = chen_yanagi_curve(psd, args.power, alphas,
                                                   cfg)
     report = _envelope(

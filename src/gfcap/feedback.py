@@ -25,7 +25,7 @@ from .waterfill import nonfeedback_capacity
 
 _EPS = np.finfo(float).eps
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-# width of the alpha bracket at which minimize_cy's golden section stops
+# width of the alpha bracket at which the golden section stops
 _ALPHA_TOL = 1e-6
 
 
@@ -116,31 +116,44 @@ def cover_pombra_bounds(c_p: float):
 def chen_yanagi_bound(psd: PsdSpec, power: float, alpha: float,
                       config: QuadratureConfig | None = None):
     """Bound pair ((1+1/a)*C(aP), C(aP) + (1/2)log2(1+1/a)) for a > 0."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be positive and finite")
     c = nonfeedback_capacity(psd, alpha * power, config).capacity_bits
     return (1.0 + 1.0 / alpha) * c, c + 0.5 * math.log2(1.0 + 1.0 / alpha)
 
 
-def minimize_cy(psd: PsdSpec, power: float, alpha_grid,
-                config: QuadratureConfig | None = None):
-    """Tightest bound over alpha: grid scan, then golden-section between the
-    grid neighbors of the minimizer."""
-    grid = sorted(float(a) for a in alpha_grid)
-    if not grid:
+def default_alpha_grid(n_points=50, lo=0.1, hi=10.0):
+    """n_points alphas, log-spaced from lo to hi."""
+    if not n_points >= 1:
+        raise ValueError("alpha grid needs at least one point")
+    if not (0 < lo < math.inf and 0 < hi < math.inf):
+        raise ValueError("alpha range ends must be positive and finite")
+    return np.logspace(np.log10(lo), np.log10(hi), n_points)
+
+
+def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
+                      config: QuadratureConfig | None = None):
+    """The bound pair at every alpha of the grid and its minimum over alpha,
+    from one pass: returns (curve, cy_min_alpha, cy_min_value), with curve
+    entries (alpha, bound1, bound2).  The curve itself is the grid scan;
+    a golden section between the grid neighbours of its lowest point
+    refines the minimum, and the final midpoint replaces that point only
+    if it is lower.  Each capacity is solved once."""
+    curve = tuple(
+        (float(a),) + chen_yanagi_bound(psd, power, float(a), config)
+        for a in alpha_grid)
+    if not curve:
         raise ValueError("alpha grid must be nonempty")
-    if grid[0] <= 0:
-        raise ValueError("alpha must be positive")
 
     def value(a):
         return min(chen_yanagi_bound(psd, power, a, config))
 
-    vals = [value(a) for a in grid]
-    i = int(np.argmin(vals))
-    best_a, best_v = grid[i], vals[i]
-    if len(grid) == 1:
-        return best_a, best_v
-    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    scan = sorted((a, min(b1, b2)) for a, b1, b2 in curve)
+    i = int(np.argmin([v for _, v in scan]))
+    best_a, best_v = scan[i]
+    if len(scan) == 1:
+        return curve, best_a, best_v
+    a, b = scan[max(i - 1, 0)][0], scan[min(i + 1, len(scan) - 1)][0]
     c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
     fc, fd = value(c), value(d)
     while (b - a) > _ALPHA_TOL:
@@ -156,23 +169,7 @@ def minimize_cy(psd: PsdSpec, power: float, alpha_grid,
     vmid = value(mid)
     if vmid < best_v:
         best_a, best_v = mid, vmid
-    return best_a, best_v
-
-
-def default_alpha_grid(n_points=50, lo=0.1, hi=10.0):
-    return np.logspace(math.log10(lo), math.log10(hi), n_points)
-
-
-def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
-                      config: QuadratureConfig | None = None):
-    """The bound pair at every alpha of the grid, then its minimum over
-    alpha: returns (curve, cy_min_alpha, cy_min_value), with curve entries
-    (alpha, bound1, bound2)."""
-    curve = tuple(
-        (float(a),) + chen_yanagi_bound(psd, power, float(a), config)
-        for a in alpha_grid)
-    cy_alpha, cy_value = minimize_cy(psd, power, alpha_grid, config)
-    return curve, cy_alpha, cy_value
+    return curve, best_a, best_v
 
 
 def conjecture_margin(power: float,

@@ -342,8 +342,7 @@ def _check_floor(tol, *values):
             f"{floor:.2e}")
 
 
-@lru_cache(maxsize=1024)
-def _capacity_cached(psd, power, config):
+def _capacity(psd, power, config):
     _reject_vanishing(psd)
     tol = config.abs_tolerance
     nu, edges, filled = _solve_level(psd, power)
@@ -387,7 +386,7 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
     met, e.g. for an MA spectrum with multiple zeros on the unit circle.
     """
     cfg = config or DEFAULT_QUADRATURE
-    nu, crossings, capacity, residual = _capacity_cached(psd, float(power), cfg)
+    nu, crossings, capacity, residual = _capacity(psd, float(power), cfg)
 
     def input_psd(th):
         return np.maximum(nu - psd_eval(psd, th), 0.0)

@@ -22,17 +22,12 @@ from gfcap.simulator import (
     variance_recursion,
 )
 from gfcap.spectrum import PAPER_CHANNEL, PsdSpec
-from gfcap.waterfill import (
-    _capacity_cached,
-    _jensen_mean_log,
-    nonfeedback_capacity,
-)
+from gfcap.waterfill import _jensen_mean_log, nonfeedback_capacity
 
 PI = math.pi
 
 
 def clear_caches():
-    _capacity_cached.cache_clear()
     _jensen_mean_log.cache_clear()
 
 

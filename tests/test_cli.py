@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -288,6 +289,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "finite" in err or "bad power sweep" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("--alpha-min", "0"),
+        ("--alpha-min", "-1"),
+        ("--alpha-min", "nan"),
+        ("--alpha-max", "inf"),
+        ("--alpha-points", "-3"),
+    ], ids=lambda argv: "_".join(argv).replace("--", ""))
+    def test_bad_alpha_input_is_invalid(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "bounds", "--power", "1", *argv)
+        assert code == 2
+        assert out == ""
+        assert caught == []
+        assert err.startswith("error: alpha")
+        assert err.count("\n") == 1
+        assert "Warning" not in err
 
     def test_counterexample_honours_tol(self, capsys):
         code, _, err = run(capsys, "counterexample", "--tol", "1e-20")

@@ -51,3 +51,10 @@ def test_removed_noise_sampler_is_gone():
     assert not hasattr(gfcap, "sample_noise_path")
     assert not hasattr(gfcap.spectrum, "sample_noise_path")
     assert "sample_noise_path" not in gfcap.__all__
+
+
+def test_removed_alpha_minimizer_is_gone():
+    # the minimum over alpha comes from chen_yanagi_curve, with the curve
+    assert not hasattr(gfcap, "minimize_cy")
+    assert not hasattr(gfcap.feedback, "minimize_cy")
+    assert "minimize_cy" not in gfcap.__all__

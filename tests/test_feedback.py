@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from gfcap import feedback
 from gfcap.feedback import (
     chen_yanagi_bound,
+    chen_yanagi_curve,
     conjecture_check,
     conjecture_margin,
     cover_pombra_bounds,
-    minimize_cy,
+    default_alpha_grid,
     sandwich_failures,
     sk_poly,
     sk_rate_threshold,
@@ -144,24 +146,45 @@ class TestChenYanagi:
         assert b2 == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            chen_yanagi_bound(PAPER_CHANNEL, 1.0, 0.0)
+        for alpha in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha"):
+                chen_yanagi_bound(PAPER_CHANNEL, 1.0, alpha)
+
+
+class TestAlphaGrid:
+    def test_default_grid(self):
+        grid = default_alpha_grid()
+        assert len(grid) == 50
+        assert grid[0] == 0.1 and grid[-1] == 10.0
+        assert np.array_equal(grid, np.logspace(-1, 1, 50))
+
+    @pytest.mark.parametrize("args", [
+        (0,), (-3,), (5, 0.0, 1.0), (5, -1.0, 1.0), (5, math.nan, 1.0),
+        (5, 0.1, math.inf),
+    ])
+    def test_rejects_bad_grid(self, args):
+        with pytest.raises(ValueError, match="alpha"):
+            default_alpha_grid(*args)
 
 
 class TestMinimizeCy:
+    """The minimum over alpha that chen_yanagi_curve returns with the
+    curve."""
+
     def test_singleton_grid(self):
-        a, v = minimize_cy(PAPER_CHANNEL, 1.0, [2.0])
+        a, v = chen_yanagi_curve(PAPER_CHANNEL, 1.0, [2.0])[1:]
         assert a == 2.0
         assert v == pytest.approx(min(chen_yanagi_bound(PAPER_CHANNEL, 1.0, 2.0)),
                                   abs=1e-12)
 
     def test_white_includes_alpha_one(self):
-        _, v = minimize_cy(PsdSpec.white(1.0), 1.0, [0.5, 1.0, 2.0, 4.0])
+        _, v = chen_yanagi_curve(PsdSpec.white(1.0), 1.0,
+                                 [0.5, 1.0, 2.0, 4.0])[1:]
         assert v <= 1.0 + 1e-9
 
     def test_paper_channel_regression(self):
         grid = np.logspace(-1, 1, 50)
-        a, v = minimize_cy(PAPER_CHANNEL, 1.0, grid)
+        a, v = chen_yanagi_curve(PAPER_CHANNEL, 1.0, grid)[1:]
         assert v >= sk_root(1.0).rate_bits
         # frozen regression values from this implementation, cross-checked
         # against a dense independent grid scan
@@ -170,7 +193,49 @@ class TestMinimizeCy:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            minimize_cy(PAPER_CHANNEL, 1.0, [])
+            chen_yanagi_curve(PAPER_CHANNEL, 1.0, [])
+
+    @pytest.mark.parametrize("noise, power", [(1.0, 2.0), (3.0, 7.0),
+                                              (1.0, 50.0)])
+    def test_white_minimum_is_exact(self, noise, power):
+        # for white noise N the second bound,
+        # (1/2)log2((1 + a P/N)(1 + 1/a)), is smallest at a = sqrt(N/P),
+        # where it equals log2(1 + sqrt(P/N))
+        a, v = chen_yanagi_curve(PsdSpec.white(noise), power,
+                                 default_alpha_grid())[1:]
+        assert a == pytest.approx(math.sqrt(noise / power), abs=1e-6)
+        assert v == pytest.approx(math.log2(1.0 + math.sqrt(power / noise)),
+                                  abs=1e-12)
+
+
+def counted_solves(monkeypatch):
+    """Patch feedback's capacity solve to record every (psd, power) key."""
+    keys = []
+    solve = feedback.nonfeedback_capacity
+
+    def counting(psd, power, config=None):
+        keys.append((psd, float(power)))
+        return solve(psd, power, config)
+
+    monkeypatch.setattr(feedback, "nonfeedback_capacity", counting)
+    return keys
+
+
+class TestWorkBudget:
+    """Each capacity the bound layer needs is solved once: the curve is
+    the grid scan of the minimum over alpha, so no alpha is solved twice."""
+
+    def test_conjecture_check_solves_each_capacity_once(self, monkeypatch):
+        keys = counted_solves(monkeypatch)
+        conjecture_check(1.0)
+        assert len(keys) == 81
+        assert len(set(keys)) == 81
+
+    def test_curve_solves_each_capacity_once(self, monkeypatch):
+        keys = counted_solves(monkeypatch)
+        chen_yanagi_curve(PAPER_CHANNEL, 1.0, default_alpha_grid())
+        assert len(keys) == 79
+        assert len(set(keys)) == 79
 
 
 class TestConjectureCheck:

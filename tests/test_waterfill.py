@@ -382,7 +382,6 @@ def counted_psd_eval(monkeypatch):
         return psd_eval(spec, theta)
 
     monkeypatch.setattr(waterfill, "psd_eval", counted)
-    waterfill._capacity_cached.cache_clear()
     return sizes
 
 
