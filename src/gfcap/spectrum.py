@@ -103,8 +103,11 @@ def psd_eval(spec: PsdSpec, theta):
     if np.any(np.abs(th) > math.pi + 1e-12):
         raise ValueError("theta outside [-pi, pi]")
     if spec.form == "ma":
-        # Horner in z = e^{i theta}: one complex exp per point, none per tap
-        z = np.exp(1j * th)
+        # Horner in z = e^{i theta}: one cos and one sin per point, written
+        # into z's real and imaginary parts, none per tap
+        z = np.empty(th.shape, dtype=complex)
+        np.cos(th, out=z.real)
+        np.sin(th, out=z.imag)
         acc = np.full(th.shape, spec.coeffs[-1], dtype=complex)
         for bk in reversed(spec.coeffs[:-1]):
             acc = acc * z + bk

@@ -5,12 +5,17 @@ The water level nu solves F(nu) = P for the filled power
 F(nu) = mean((nu - S)^+).  F is convex and nondecreasing, with slope
 F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi.  Both are evaluated in
 closed form from the exact crossings of S = nu, so Newton's method from
-nu0 = mean(S) + P, where F(nu0) >= P, falls monotonically onto the root.
-For MA spectra the crossings are the real roots of a Chebyshev series in
-cos(theta), polished by Newton in theta itself; and once nu is at least
-sigma2 (sum |b_k|)^2 >= max S, the whole band fills and
+any start at or above the root, such as nu0 = mean(S) + P where
+F(nu0) >= P, falls monotonically onto it.  For MA spectra the crossings
+are the real roots of a Chebyshev series in cos(theta); once nu is at
+least sigma2 (sum |b_k|)^2 >= max S, the whole band fills and
 F(nu) = nu - mean(S) with no root finding, so a full band's level is
-mean(S) + P exactly.
+mean(S) + P exactly.  A partial MA band starts closer: at the discrete
+water level of S sampled at 64 midpoints, capped at nu0, or, where F is
+below P there, one Newton step from below it, which convexity puts at or
+above the root.  A crossing's error enters F only at second order, so the
+iterates use the crossings through arccos, and only the returned level's
+are polished, by Newton in theta itself.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
@@ -63,6 +68,10 @@ _FULL_BAND = np.array([True])
 # crossings.  Extra candidates are harmless (each band is decided by the
 # sign of S - nu at its midpoint), so the window is generous.
 _ROOT_WINDOW = 1e-6
+# The Newton solve of a partial MA band starts from the discrete water level
+# of S at this many midpoints of [0, pi]
+_START_SAMPLES = 64
+_START_THETA = (np.arange(_START_SAMPLES) + 0.5) * (math.pi / _START_SAMPLES)
 
 
 @dataclass(frozen=True)
@@ -86,23 +95,28 @@ def _cosine_series(spec: PsdSpec):
 
 def _ma_crossings(c, nu):
     """Angles in [0, pi] where S(theta) = sum_k c[k] cos(k theta) = nu:
-    real roots in [-1, 1] of the Chebyshev series c - nu, mapped to theta
-    and polished by Newton in theta, where a crossing near 0 or pi keeps
-    the digits that arccos loses.  A step is kept only where it lowers
-    |S - nu|."""
+    the real roots in [-1, 1] of the Chebyshev series c - nu, mapped to
+    theta by arccos, which loses digits next to 0 and pi."""
     p = c.copy()
     p[0] -= nu
     x = chebyshev.chebroots(p)
     x = np.clip(x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
                        & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)], -1.0, 1.0)
+    return np.arccos(x)
+
+
+def _polish_crossings(c, nu, theta):
+    """The crossings theta of S = nu polished by two Newton steps in theta
+    itself, where a crossing near 0 or pi keeps the digits that arccos
+    loses.  A step is kept only where it lowers |S - nu|."""
+    gap0 = c[0] - nu
     k = np.arange(1, len(c))
     kc = k * c[1:]
 
     def gap_and_slope(theta):
         arg = np.outer(theta, k)
-        return p[0] + np.cos(arg) @ c[1:], -(np.sin(arg) @ kc)
+        return gap0 + np.cos(arg) @ c[1:], -(np.sin(arg) @ kc)
 
-    theta = np.arccos(x)
     gap, slope = gap_and_slope(theta)
     for _ in range(2):
         # a zero slope gives a step to 0 or pi, or nan, and nan is never kept
@@ -116,39 +130,80 @@ def _ma_crossings(c, nu):
     return theta
 
 
+def _sampled_level(s, power):
+    """The level of the discrete water-filling mean((nu - s_i)^+) = P over
+    the samples s: with the m smallest samples filled the level is
+    (n P + their sum) / m, and the first such level that does not exceed
+    the next sample fills exactly those m."""
+    s = np.sort(s)
+    levels = (len(s) * power + np.cumsum(s)) / np.arange(1, len(s) + 1)
+    fits = np.flatnonzero(levels[:-1] <= s[1:])
+    return float(levels[fits[0] if len(fits) else -1])
+
+
 def _level_terms(spec: PsdSpec, mean, bound):
-    """The map nu -> (F(nu), F'(nu), edges, filled) for one spectrum with
-    the given mean(S) and bound on max S, with everything that depends only
-    on the spectrum computed once, here.
+    """(start, terms, finish) for one spectrum with the given mean(S) and
+    bound on max S, with everything that depends only on the spectrum
+    computed once, here:
+
+    - start(power, nu0): the level the Newton solve starts from, at most
+      nu0 = mean(S) + P;
+    - terms(nu): (F(nu), F'(nu), edges, filled);
+    - finish(nu, edges, filled): the edges and filled flags returned with
+      the level.
 
     The breakpoints `edges` (0, pi, every crossing and, for samples, every
     node) split [0, pi] into pieces on which S - nu keeps one sign;
     filled[i] is the sign at piece i's midpoint, so a tangent or spurious
     root cannot flip a band.  Each filled piece is integrated exactly.
+    White and samples spectra start at nu0 and finish as they are.
     """
+    def start(power, nu0):
+        return nu0
+
+    def finish(nu, edges, filled):
+        return edges, filled
+
     if spec.form == "white":
         def terms(nu):
             gap = nu - spec.level
             return max(gap, 0.0), float(gap > 0.0), _HALF_TURN, \
                 np.array([gap > 0.0])
-        return terms
+        return start, terms, finish
     if spec.form == "ma":
         c = _cosine_series(spec)
         k = np.arange(1, len(c))
         weights = 2.0 * c[1:] / k
 
+        def split(nu, theta):
+            edges = np.unique(np.concatenate(([0.0, math.pi], theta)))
+            cos_mid = np.cos(np.outer(0.5 * (edges[:-1] + edges[1:]), k))
+            return edges, c[0] + cos_mid @ c[1:] < nu, cos_mid
+
         def pieces(nu):
-            edges = np.unique(np.concatenate(([0.0, math.pi],
-                                              _ma_crossings(c, nu))))
-            mids, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-            cos_mid = np.cos(np.outer(mids, k))
-            filled = c[0] + cos_mid @ c[1:] < nu
+            edges, filled, cos_mid = split(nu, _ma_crossings(c, nu))
+            half = 0.5 * np.diff(edges)
             # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
             # differenced over each piece as 2 cos(k mid) sin(k half) so
             # that a narrow band does not lose its digits to cancellation
             areas = (2.0 * (nu - c[0]) * half
                      - (cos_mid * np.sin(np.outer(half, k))) @ weights)
             return edges, filled, areas
+
+        def start(power, nu0):
+            # the discrete water-filling of S at _START_SAMPLES midpoints
+            if nu0 >= bound:
+                return nu0
+            s = c[0] + np.cos(np.outer(_START_THETA, k)) @ c[1:]
+            return min(_sampled_level(s, power), nu0)
+
+        def finish(nu, edges, filled):
+            # a crossing's error enters F only at second order, since
+            # nu - S = 0 there, so only the returned level's are polished,
+            # from the angles already found
+            if len(edges) == 2:  # no crossing
+                return edges, filled
+            return split(nu, _polish_crossings(c, nu, edges[1:-1]))[:2]
     else:
         values = np.asarray(spec.values)
         nodes = np.linspace(0.0, math.pi, len(values))
@@ -177,7 +232,7 @@ def _level_terms(spec: PsdSpec, mean, bound):
         return (float(np.sum(areas[filled])) / math.pi,
                 float(np.sum(np.diff(edges)[filled])) / math.pi,
                 edges, filled)
-    return terms
+    return start, terms, finish
 
 
 def _mean_and_bound(spec: PsdSpec):
@@ -194,33 +249,50 @@ def _mean_and_bound(spec: PsdSpec):
 
 
 def _solve_level(spec: PsdSpec, power: float):
-    """Newton's method on the convex filled power F from nu0 = mean(S) + P;
-    returns nu with the breakpoints and filled flags of its pieces.
+    """Newton's method on the convex filled power F from a start at or
+    above the root; returns nu with the breakpoints and filled flags of its
+    pieces.
 
-    F(nu0) >= mean(nu0 - S) = P, and every tangent of a convex F lies below
-    it, so the iterates decrease monotonically onto the root without a
-    bracket.  The rounding error of F is a few ulps of (nu + max S) times
-    F', so its root is only determined to a few ulps of nu + max S: the
-    solve stops once the step falls to that, or once the computed excess
-    F(nu) - P is no longer positive.  An unconverged nu is never returned.
+    nu0 = mean(S) + P is at or above the root, since
+    F(nu0) >= mean(nu0 - S) = P.  An MA band that does not fill starts
+    lower, at the discrete water level of S sampled at _START_SAMPLES
+    midpoints, capped at nu0.  If F is below P there, one Newton step from
+    below, capped at nu0, lands at or above the root, because every
+    tangent of a convex F lies below it; with F' = 0 the start is nu0.
+    From at or above the root the iterates decrease monotonically onto it
+    without a bracket.  The rounding error of F is a few ulps of
+    (nu + max S) times F', so its root is only determined to a few ulps of
+    nu + max S: the solve stops once the step falls to that, or once the
+    computed excess F(nu) - P is no longer positive.  Only the returned
+    level's MA crossings are polished.  An unconverged nu is never
+    returned.
     """
     if not 0 < power < math.inf:
         raise ValueError("power budget must be positive and finite")
     mean, bound = _mean_and_bound(spec)
-    terms = _level_terms(spec, mean, bound)
-    nu = mean + power
-    for _ in range(_NEWTON_MAX_ITER):
+    start, terms, finish = _level_terms(spec, mean, bound)
+    nu0 = mean + power
+    nu = start(power, nu0)
+    filled_power, slope, edges, filled = terms(nu)
+    if nu < nu0 and filled_power < power:
+        # below the root: the tangent there meets P at or above it
+        nu = min(nu + (power - filled_power) / slope, nu0) \
+            if slope > 0.0 else nu0
         filled_power, slope, edges, filled = terms(nu)
+    for _ in range(_NEWTON_MAX_ITER):
         excess = filled_power - power
         if excess <= 0.0:
-            return nu, edges, filled
+            break
         step = excess / slope
         if step <= 4.0 * _EPS * (nu + bound):
-            return nu, edges, filled
+            break
         nu -= step
-    raise ConvergenceError(
-        f"water-level Newton solve did not converge in {_NEWTON_MAX_ITER} "
-        f"iterations (last level {nu!r})")
+        filled_power, slope, edges, filled = terms(nu)
+    else:
+        raise ConvergenceError(
+            f"water-level Newton solve did not converge in "
+            f"{_NEWTON_MAX_ITER} iterations (last level {nu!r})")
+    return (nu, *finish(nu, edges, filled))
 
 
 def water_level(psd: PsdSpec, power: float) -> float:
@@ -259,7 +331,9 @@ def _jensen_mean_log(spec: PsdSpec, tol: float):
     one root -b0 / b1), and one Horner pass gives B(z), B'(z) and
     sum_j |b_j| |z|^j, the scale of the rounding of B(z).
     """
-    b = np.trim_zeros(np.asarray(spec.coeffs), "b")
+    b = np.asarray(spec.coeffs)
+    # trailing zero taps dropped; _reject_vanishing has left a nonzero one
+    b = b[:np.flatnonzero(b)[-1] + 1]
     if len(b) <= 2:
         z = -b[:-1] / b[-1]
     else:

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 
 from gfcap import waterfill
+from gfcap.feedback import conjecture_check
 from gfcap.spectrum import (
     PAPER_CHANNEL,
     ConvergenceError,
@@ -385,6 +386,19 @@ def counted_psd_eval(monkeypatch):
     return sizes
 
 
+def counted_chebroots(monkeypatch):
+    """Patch waterfill's chebroots, one eigensolve per level evaluation of
+    a partial MA band, to record each call's series."""
+    chebroots, roots = waterfill.chebyshev.chebroots, []
+
+    def counted(p):
+        roots.append(p)
+        return chebroots(p)
+
+    monkeypatch.setattr(waterfill.chebyshev, "chebroots", counted)
+    return roots
+
+
 def test_paper_channel_work_budget(monkeypatch):
     """One capacity solve on the paper channel, which crosses the level at
     P = 1, evaluates the spectrum in one call over at most 4,000 points:
@@ -407,19 +421,85 @@ def test_full_band_work_budget(monkeypatch, spec, power):
     b = np.asarray(spec.coeffs)
     assert spec.sigma2 * float(b @ b) + power >= \
         spec.sigma2 * float(np.abs(b).sum()) ** 2
-    chebroots, roots = waterfill.chebyshev.chebroots, []
-
-    def counted_roots(p):
-        roots.append(p)
-        return chebroots(p)
-
-    monkeypatch.setattr(waterfill.chebyshev, "chebroots", counted_roots)
+    roots = counted_chebroots(monkeypatch)
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
     assert roots == []
     assert len(sizes) == 1
     assert sol.water_level == spec.sigma2 * float(b @ b) + power
     assert sol.band_crossings == ()
+
+
+@pytest.mark.parametrize("power", [0.1, 0.5, 1.0, 1.5])
+def test_partial_band_level_budget(monkeypatch, power):
+    """The Newton solve of a partial band starts from the sampled discrete
+    water level, close to the root, and polishes only the returned
+    crossings: at most 4 level evaluations, each one eigensolve."""
+    roots = counted_chebroots(monkeypatch)
+    sol = nonfeedback_capacity(PAPER_CHANNEL, power)
+    assert len(sol.band_crossings) == 1
+    assert 1 <= len(roots) <= 4
+
+
+def test_conjecture_check_level_budget(monkeypatch):
+    """The 81 capacity solves of the counterexample, most of them partial
+    bands, take at most 270 level evaluations between them."""
+    roots = counted_chebroots(monkeypatch)
+    conjecture_check(1.0)
+    assert len(roots) <= 270
+
+
+def test_sampled_start_on_both_sides_of_the_root():
+    """The sampled start lies above the root on some partial bands and
+    below it on others, where one Newton step from below must land at or
+    above the root; either way the level meets the oracle."""
+    rng = np.random.default_rng(1010)
+    sides = set()
+    for q in range(1, 17):
+        spec = PsdSpec.ma(min_phase_taps(rng, q),
+                          float(10 ** rng.uniform(-1, 1)))
+        s, oracle = direct_psd(spec), Oracle(spec)
+        mean, bound = waterfill._mean_and_bound(spec)
+        start = waterfill._level_terms(spec, mean, bound)[0]
+        smax = max(s(t) for t in np.linspace(0.0, PI, 1025))
+        for u in (0.02, 0.2, 0.7):
+            # below smax - mean S the band does not fill
+            power = float(u * (smax - mean))
+            sol = nonfeedback_capacity(spec, power)
+            nu = sol.water_level
+            nu_hat = start(power, mean + power)
+            sides.add(nu_hat > nu)
+            assert nu == pytest.approx(oracle.level(power), rel=1e-12, abs=0)
+            assert sol.power_residual <= 1e-10 * max(1.0, power)
+            assert sol.band_crossings
+            for theta in sol.band_crossings:
+                assert abs(s(theta) - nu) <= 1e-12 * max(nu, smax)
+    assert sides == {True, False}
+
+
+def paper_level_reference(power):
+    """The paper channel's level at a power that fills a band of
+    half-width u about pi: F = (2 / pi)(sin u - u cos u), by brentq in u,
+    where sin u - u cos u = sum_n (-1)^(n+1) 2n u^(2n+1) / (2n+1)! is
+    summed as a series below u = 1 to keep its digits; nu = 4 sin^2(u/2)."""
+    def filled(u):
+        if u >= 1.0:
+            return 2.0 / PI * (math.sin(u) - u * math.cos(u))
+        return 2.0 / PI * sum((-1) ** (n + 1) * 2 * n * u ** (2 * n + 1)
+                              / math.factorial(2 * n + 1)
+                              for n in range(1, 12))
+
+    u = brentq(lambda u: filled(u) - power, 0.0, PI, xtol=1e-300,
+               rtol=4 * EPS, maxiter=200)
+    return 4.0 * math.sin(0.5 * u) ** 2
+
+
+@pytest.mark.parametrize("power", [1e-12, 1e-8, 1e-4])
+def test_paper_channel_level_at_tiny_power(power):
+    """A narrow band about the zero at pi: the level is determined only to
+    a few ulps of nu + max S, so it is held to 4 eps (nu + 4)."""
+    nu = water_level(PAPER_CHANNEL, power)
+    assert abs(nu - paper_level_reference(power)) <= 4 * EPS * (nu + 4.0)
 
 
 def test_paper_channel_at_high_power_is_exact():
@@ -554,7 +634,8 @@ def test_theta_polish_matches_chebval_polish():
         s = psd_eval(spec, np.linspace(0.0, PI, 513))
         nu = float(rng.uniform(s.min(), s.max()))
         ref = ma_crossings_chebval(c, nu)
-        got = waterfill._ma_crossings(c, nu)
+        got = waterfill._polish_crossings(c, nu,
+                                          waterfill._ma_crossings(c, nu))
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-13)
         count += len(got)
