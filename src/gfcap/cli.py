@@ -2,7 +2,9 @@
 
 Subcommands: capacity, sk-rate, bounds, counterexample, simulate.  Every
 command prints a report either as aligned "key = value" text (6 decimal
-places) or as a JSON envelope with full double precision.  Exit codes:
+places) or as a JSON envelope with full double precision: each cmd_*
+returns (inputs, outputs, verdicts), and main wraps them in the envelope
+with the command's name and wall time, and emits it.  Exit codes:
 0 success, 2 invalid input, 3 non-convergence, 4 failed internal
 consistency check.
 """
@@ -94,26 +96,14 @@ def _emit(report, fmt, out=None):
                 out.write(f"{key} = {_fmt(value)}\n")
 
 
-def _envelope(command, inputs, outputs, verdicts, started):
-    return {
-        "command": command,
-        "inputs": _plain(inputs),
-        "outputs": _plain(outputs),
-        "verdicts": _plain(verdicts),
-        "wall_time_s": time.perf_counter() - started,
-    }
-
-
 def _quad_config(args):
     return QuadratureConfig(abs_tolerance=args.tol)
 
 
 def cmd_capacity(args):
-    started = time.perf_counter()
     psd = load_psd(args.psd)
     sol = nonfeedback_capacity(psd, args.power, _quad_config(args))
-    report = _envelope(
-        "capacity",
+    return (
         {"psd": psd_describe(psd), "power": args.power, "tol": args.tol},
         {
             "water_level": sol.water_level,
@@ -122,28 +112,19 @@ def cmd_capacity(args):
             "band_crossings": list(sol.band_crossings),
         },
         {},
-        started,
     )
-    _emit(report, args.format)
-    return EXIT_OK
 
 
 def cmd_sk_rate(args):
-    started = time.perf_counter()
     sol = sk_root(args.power)
-    report = _envelope(
-        "sk-rate",
+    return (
         {"power": args.power},
         {"x0": sol.x0, "rate_bits": sol.rate_bits, "residual": sol.residual},
         {},
-        started,
     )
-    _emit(report, args.format)
-    return EXIT_OK
 
 
 def cmd_bounds(args):
-    started = time.perf_counter()
     psd = load_psd(args.psd)
     cfg = _quad_config(args)
     alphas = default_alpha_grid(args.alpha_points, args.alpha_min,
@@ -152,8 +133,7 @@ def cmd_bounds(args):
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
     curve, cy_alpha, cy_value = chen_yanagi_curve(psd, args.power, alphas,
                                                   cfg)
-    report = _envelope(
-        "bounds",
+    return (
         {"psd": psd_describe(psd), "power": args.power, "tol": args.tol,
          "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
          "alpha_points": args.alpha_points},
@@ -166,10 +146,7 @@ def cmd_bounds(args):
             "cy_min_value": cy_value,
         },
         {},
-        started,
     )
-    _emit(report, args.format)
-    return EXIT_OK
 
 
 def _parse_sweep(text):
@@ -185,7 +162,6 @@ def _parse_sweep(text):
 
 
 def cmd_counterexample(args):
-    started = time.perf_counter()
     cfg = _quad_config(args)
     sweep = _parse_sweep(args.power_sweep) if args.power_sweep else None
     report = conjecture_check(1.0, cfg)
@@ -215,13 +191,10 @@ def cmd_counterexample(args):
             sk, c_2p, _, violated = conjecture_margin(float(p), cfg)
             rows.append([float(p), sk.rate_bits, c_2p, violated])
         outputs["power_sweep"] = rows
-    _emit(_envelope("counterexample", {"power": 1.0}, outputs, verdicts,
-                    started), args.format)
-    return EXIT_OK
+    return {"power": 1.0}, outputs, verdicts
 
 
 def cmd_simulate(args):
-    started = time.perf_counter()
     psd = load_psd(args.psd)
     probe = SchemeConfig(power=args.power, horizon=args.horizon,
                          rate_bits=1.0, seed=args.seed)
@@ -236,8 +209,7 @@ def cmd_simulate(args):
         raise ValueError(
             f"cannot write trace {args.trace_out!r}: {exc}") from exc
     mc = simulate_transmission(config, psd, args.trials)
-    report = _envelope(
-        "simulate",
+    return (
         {"psd": psd_describe(psd), "power": args.power, "rate": rate,
          "horizon": args.horizon, "trials": args.trials, "seed": args.seed},
         {
@@ -252,10 +224,7 @@ def cmd_simulate(args):
         },
         {"degenerate": mc.degenerate,
          "message_grid_saturated": mc.message_grid_saturated},
-        started,
     )
-    _emit(report, args.format)
-    return EXIT_OK
 
 
 def build_parser():
@@ -314,8 +283,17 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        inputs, outputs, verdicts = args.func(args)
+        _emit({
+            "command": args.command,
+            "inputs": _plain(inputs),
+            "outputs": _plain(outputs),
+            "verdicts": _plain(verdicts),
+            "wall_time_s": time.perf_counter() - started,
+        }, args.format)
+        return EXIT_OK
     except ConvergenceError as exc:
         print(f"error: did not converge: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

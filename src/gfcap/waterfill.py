@@ -2,20 +2,22 @@
 and nonfeedback capacity in bits per channel use.
 
 The water level nu solves F(nu) = P for the filled power
-F(nu) = mean((nu - S)^+).  F is convex and nondecreasing, with slope
-F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi.  Both are evaluated in
-closed form from the exact crossings of S = nu, so Newton's method from
-any start at or above the root, such as nu0 = mean(S) + P where
-F(nu0) >= P, falls monotonically onto it.  For MA spectra the crossings
-are the real roots of a Chebyshev series in cos(theta); once nu is at
-least sigma2 (sum |b_k|)^2 >= max S, the whole band fills and
-F(nu) = nu - mean(S) with no root finding, so a full band's level is
-mean(S) + P exactly.  A partial MA band starts closer: at the discrete
-water level of S sampled at 64 midpoints, capped at nu0, or, where F is
-below P there, one Newton step from below it, which convexity puts at or
-above the root.  A crossing's error enters F only at second order, so the
-iterates use the crossings through arccos, and only the returned level's
-are polished, by Newton in theta itself.
+F(nu) = mean((nu - S)^+), and nu0 = mean(S) + P is at or above it, since
+F(nu0) >= mean(nu0 - S) = P.  White noise, and an MA spectrum whose nu0 is
+at least sigma2 (sum |b_k|)^2 >= max S, fill the whole band: there
+F(nu) = nu - mean(S), so nu0 is the level exactly, decided before any
+root finding.  Only a partial band is solved by Newton's method.  F is
+convex and nondecreasing, with slope
+F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi, and both come in
+closed form from the exact crossings of S = nu: for MA spectra the real
+roots of a Chebyshev series in cos(theta), for samples the linear
+crossings between nodes.  From any start at or above the root Newton falls
+monotonically onto it.  A samples spectrum starts at nu0.  An MA band
+starts closer: at the discrete water level of S sampled at 64 midpoints,
+capped at nu0, or, where F is below P there, one Newton step from below
+it, which convexity puts at or above the root.  A crossing's error enters
+F only at second order, so the iterates use the crossings through arccos,
+and only the returned level's are polished, by Newton in theta itself.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
@@ -62,8 +64,6 @@ _MAX_LEVELS = 8
 _PANELS = 32
 # 16-point Gauss-Legendre rule on [-1, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_HALF_TURN = np.array([0.0, math.pi])
-_FULL_BAND = np.array([True])
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
 # crossings.  Extra candidates are harmless (each band is decided by the
 # sign of S - nu at its midpoint), so the window is generous.
@@ -141,103 +141,66 @@ def _sampled_level(s, power):
     return float(levels[fits[0] if len(fits) else -1])
 
 
-def _level_terms(spec: PsdSpec, mean, bound):
-    """(start, terms, finish) for one spectrum with the given mean(S) and
-    bound on max S, with everything that depends only on the spectrum
-    computed once, here:
+def _ma_pieces(c):
+    """(split, pieces) for an MA spectrum with cosine series c.
+    split(nu, theta) sorts 0, pi and the crossings theta into the edges of
+    pieces and flags each piece filled by the sign of nu - S at its
+    midpoint, so a tangent or spurious root cannot flip a band;
+    pieces(nu) -> (edges, filled, areas) adds the area of nu - S on each
+    piece, in closed form."""
+    k = np.arange(1, len(c))
+    weights = 2.0 * c[1:] / k
+    # a trailing term below eps sum |c_k| is lost in S's rounding, but as the
+    # leading coefficient its reciprocal scales the crossings' companion
+    # matrix and loses them (from a tap ratio of about 1e-26), so it is dropped
+    kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
+    series = c[:kept[-1] + 1]
 
-    - start(power, nu0): the level the Newton solve starts from, at most
-      nu0 = mean(S) + P;
-    - terms(nu): (F(nu), F'(nu), edges, filled);
-    - finish(nu, edges, filled): the edges and filled flags returned with
-      the level.
+    def split(nu, theta):
+        edges = np.unique(np.concatenate(([0.0, math.pi], theta)))
+        cos_mid = np.cos(np.outer(0.5 * (edges[:-1] + edges[1:]), k))
+        return edges, c[0] + cos_mid @ c[1:] < nu, cos_mid
 
-    The breakpoints `edges` (0, pi, every crossing and, for samples, every
-    node) split [0, pi] into pieces on which S - nu keeps one sign;
-    filled[i] is the sign at piece i's midpoint, so a tangent or spurious
-    root cannot flip a band.  Each filled piece is integrated exactly.
-    White and samples spectra start at nu0 and finish as they are.
-    """
-    def start(power, nu0):
-        return nu0
+    def pieces(nu):
+        edges, filled, cos_mid = split(nu, _ma_crossings(series, nu))
+        half = 0.5 * np.diff(edges)
+        # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
+        # differenced over each piece as 2 cos(k mid) sin(k half) so that a
+        # narrow band does not lose its digits to cancellation
+        areas = (2.0 * (nu - c[0]) * half
+                 - (cos_mid * np.sin(np.outer(half, k))) @ weights)
+        return edges, filled, areas
 
-    def finish(nu, edges, filled):
-        return edges, filled
+    return split, pieces
 
-    if spec.form == "white":
-        def terms(nu):
-            gap = nu - spec.level
-            return max(gap, 0.0), float(gap > 0.0), _HALF_TURN, \
-                np.array([gap > 0.0])
-        return start, terms, finish
-    if spec.form == "ma":
-        c = _cosine_series(spec)
-        k = np.arange(1, len(c))
-        weights = 2.0 * c[1:] / k
 
-        def split(nu, theta):
-            edges = np.unique(np.concatenate(([0.0, math.pi], theta)))
-            cos_mid = np.cos(np.outer(0.5 * (edges[:-1] + edges[1:]), k))
-            return edges, c[0] + cos_mid @ c[1:] < nu, cos_mid
+def _samples_pieces(values):
+    """pieces(nu) -> (edges, filled, areas) for a samples spectrum: the
+    nodes and the crossings between them, the sign of nu - S on each piece
+    and its area.  The nodes stay edges even when the band fills, since
+    the filled log integral reads S as linear between consecutive edges."""
+    values = np.asarray(values)
+    nodes = np.linspace(0.0, math.pi, len(values))
+    a, b = values[:-1], values[1:]
+    lo, hi, step = np.minimum(a, b), np.maximum(a, b), np.diff(nodes)
 
-        def pieces(nu):
-            edges, filled, cos_mid = split(nu, _ma_crossings(c, nu))
-            half = 0.5 * np.diff(edges)
-            # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
-            # differenced over each piece as 2 cos(k mid) sin(k half) so
-            # that a narrow band does not lose its digits to cancellation
-            areas = (2.0 * (nu - c[0]) * half
-                     - (cos_mid * np.sin(np.outer(half, k))) @ weights)
-            return edges, filled, areas
+    def pieces(nu):
+        straddle = (lo < nu) & (nu < hi)
+        frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
+        cross = nodes[:-1][straddle] + frac * step[straddle]
+        edges = np.unique(np.concatenate((nodes, cross)))
+        s = np.interp(edges, nodes, values)
+        # S is linear on each piece: its midpoint value is the mean of the
+        # ends, and the trapezoid rule is exact
+        gap = nu - 0.5 * (s[:-1] + s[1:])
+        return edges, gap > 0.0, np.diff(edges) * gap
 
-        def start(power, nu0):
-            # the discrete water-filling of S at _START_SAMPLES midpoints
-            if nu0 >= bound:
-                return nu0
-            s = c[0] + np.cos(np.outer(_START_THETA, k)) @ c[1:]
-            return min(_sampled_level(s, power), nu0)
-
-        def finish(nu, edges, filled):
-            # a crossing's error enters F only at second order, since
-            # nu - S = 0 there, so only the returned level's are polished,
-            # from the angles already found
-            if len(edges) == 2:  # no crossing
-                return edges, filled
-            return split(nu, _polish_crossings(c, nu, edges[1:-1]))[:2]
-    else:
-        values = np.asarray(spec.values)
-        nodes = np.linspace(0.0, math.pi, len(values))
-        a, b = values[:-1], values[1:]
-        lo, hi, step = np.minimum(a, b), np.maximum(a, b), np.diff(nodes)
-
-        def pieces(nu):
-            straddle = (lo < nu) & (nu < hi)
-            frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
-            cross = nodes[:-1][straddle] + frac * step[straddle]
-            edges = np.unique(np.concatenate((nodes, cross)))
-            s = np.interp(edges, nodes, values)
-            # S is linear on each piece: its midpoint value is the mean of
-            # the ends, and the trapezoid rule is exact
-            gap = nu - 0.5 * (s[:-1] + s[1:])
-            return edges, gap > 0.0, np.diff(edges) * gap
-
-    def terms(nu):
-        # at or above the bound on max S an MA band fills completely and
-        # F = nu - mean(S) exactly, with no crossing to search for.  A
-        # samples spectrum keeps its nodes as edges even then: its filled
-        # log integral reads S as linear between consecutive edges.
-        if spec.form == "ma" and nu >= bound:
-            return nu - mean, 1.0, _HALF_TURN, _FULL_BAND
-        edges, filled, areas = pieces(nu)
-        return (float(np.sum(areas[filled])) / math.pi,
-                float(np.sum(np.diff(edges)[filled])) / math.pi,
-                edges, filled)
-    return start, terms, finish
+    return pieces
 
 
 def _mean_and_bound(spec: PsdSpec):
     """mean(S), and a bound on max S that also bounds the terms summed
-    into F(nu): sigma2 * (sum |b_k|)^2 for MA forms."""
+    into F(nu): sigma2 * (sum |b_k|)^2 >= c0 + sum |c_k| for MA forms."""
     if spec.form == "white":
         return spec.level, spec.level
     if spec.form == "ma":
@@ -249,30 +212,37 @@ def _mean_and_bound(spec: PsdSpec):
 
 
 def _solve_level(spec: PsdSpec, power: float):
-    """Newton's method on the convex filled power F from a start at or
-    above the root; returns nu with the breakpoints and filled flags of its
-    pieces.
+    """The water level nu, with the breakpoints and filled flags of its
+    pieces: a full band's nu0 first, else Newton on the convex F from a
+    start at or above the root, as the module docstring sets out.
 
-    nu0 = mean(S) + P is at or above the root, since
-    F(nu0) >= mean(nu0 - S) = P.  An MA band that does not fill starts
-    lower, at the discrete water level of S sampled at _START_SAMPLES
-    midpoints, capped at nu0.  If F is below P there, one Newton step from
-    below, capped at nu0, lands at or above the root, because every
-    tangent of a convex F lies below it; with F' = 0 the start is nu0.
-    From at or above the root the iterates decrease monotonically onto it
-    without a bracket.  The rounding error of F is a few ulps of
-    (nu + max S) times F', so its root is only determined to a few ulps of
-    nu + max S: the solve stops once the step falls to that, or once the
-    computed excess F(nu) - P is no longer positive.  Only the returned
-    level's MA crossings are polished.  An unconverged nu is never
-    returned.
+    The terms summed into F are bounded by nu + bound, where bound is max S
+    for samples and, for MA, sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|.  So
+    the rounding error of F is a few ulps of (nu + bound) times F', and its
+    root is only determined to a few ulps of nu + bound: the solve stops
+    once the step falls to that, or once the computed excess F(nu) - P is
+    no longer positive.  An unconverged nu is never returned.
     """
     if not 0 < power < math.inf:
         raise ValueError("power budget must be positive and finite")
     mean, bound = _mean_and_bound(spec)
-    start, terms, finish = _level_terms(spec, mean, bound)
-    nu0 = mean + power
-    nu = start(power, nu0)
+    nu0 = nu = mean + power
+    if spec.form != "samples" and nu0 >= bound:
+        return nu0, np.array([0.0, math.pi]), np.array([True])
+    if spec.form == "ma":
+        c = _cosine_series(spec)
+        split, pieces = _ma_pieces(c)
+        s = c[0] + np.cos(np.outer(_START_THETA, np.arange(1, len(c)))) @ c[1:]
+        nu = min(_sampled_level(s, power), nu0)
+    else:
+        pieces = _samples_pieces(spec.values)
+
+    def terms(nu):
+        edges, filled, areas = pieces(nu)
+        return (float(np.sum(areas[filled])) / math.pi,
+                float(np.sum(np.diff(edges)[filled])) / math.pi,
+                edges, filled)
+
     filled_power, slope, edges, filled = terms(nu)
     if nu < nu0 and filled_power < power:
         # below the root: the tangent there meets P at or above it
@@ -292,7 +262,9 @@ def _solve_level(spec: PsdSpec, power: float):
         raise ConvergenceError(
             f"water-level Newton solve did not converge in "
             f"{_NEWTON_MAX_ITER} iterations (last level {nu!r})")
-    return (nu, *finish(nu, edges, filled))
+    if spec.form == "ma" and len(edges) > 2:
+        edges, filled, _ = split(nu, _polish_crossings(c, nu, edges[1:-1]))
+    return nu, edges, filled
 
 
 def water_level(psd: PsdSpec, power: float) -> float:
@@ -416,40 +388,6 @@ def _check_floor(tol, *values):
             f"{floor:.2e}")
 
 
-def _capacity(psd, power, config):
-    _reject_vanishing(psd)
-    tol = config.abs_tolerance
-    nu, edges, filled = _solve_level(psd, power)
-    crossings = tuple(float(t) for t in edges[1:-1][filled[:-1] != filled[1:]])
-    if psd.form == "white":
-        capacity = 0.5 * math.log2(nu / psd.level)
-        _check_floor(tol, capacity)
-        return nu, crossings, capacity, abs(nu - psd.level - power)
-    width = float(np.sum(np.diff(edges)[filled])) / math.pi
-    if psd.form == "ma":
-        mean_log = _jensen_mean_log(psd, tol)
-    else:
-        filled_log = _filled_log_samples(psd, edges, filled) / math.pi
-    # panels double until two levels agree on both numbers: the capacity
-    # within tol, the filled power (about P) within tol * max(1, P)
-    power_tol = tol * max(1.0, power)
-    prev = None
-    for unfilled_log, filled_power in _quadrature_levels(psd, nu, edges,
-                                                         filled):
-        if psd.form == "ma":
-            filled_log = mean_log - unfilled_log
-        capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
-        _check_floor(tol, capacity)
-        _check_floor(power_tol, filled_power)
-        if prev is not None and abs(capacity - prev[0]) <= tol \
-                and abs(filled_power - prev[1]) <= power_tol:
-            return nu, crossings, capacity, abs(filled_power - power)
-        prev = capacity, filled_power
-    raise ConvergenceError(
-        f"capacity quadrature did not reach tolerance {tol:g} after "
-        f"refinement up to {_PANELS << (_MAX_LEVELS - 1)} panels")
-
-
 def nonfeedback_capacity(psd: PsdSpec, power: float,
                          config: QuadratureConfig | None = None) -> WaterfillSolution:
     """Water-filling solution and capacity mean(0.5*log2(max(S, nu)/S)).
@@ -459,17 +397,51 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
     infinite, and ConvergenceError when the stated tolerance cannot be
     met, e.g. for an MA spectrum with multiple zeros on the unit circle.
     """
-    cfg = config or DEFAULT_QUADRATURE
-    nu, crossings, capacity, residual = _capacity(psd, float(power), cfg)
+    power = float(power)
+    _reject_vanishing(psd)
+    tol = (config or DEFAULT_QUADRATURE).abs_tolerance
+    nu, edges, filled = _solve_level(psd, power)
+    if psd.form == "white":
+        capacity = 0.5 * math.log2(nu / psd.level)
+        _check_floor(tol, capacity)
+        residual = abs(nu - psd.level - power)
+    else:
+        width = float(np.sum(np.diff(edges)[filled])) / math.pi
+        if psd.form == "ma":
+            mean_log = _jensen_mean_log(psd, tol)
+        else:
+            filled_log = _filled_log_samples(psd, edges, filled) / math.pi
+        # panels double until two levels agree on both numbers: the
+        # capacity within tol, the filled power (about P) within
+        # tol * max(1, P)
+        power_tol = tol * max(1.0, power)
+        prev = None
+        for unfilled_log, filled_power in _quadrature_levels(psd, nu, edges,
+                                                             filled):
+            if psd.form == "ma":
+                filled_log = mean_log - unfilled_log
+            capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
+            _check_floor(tol, capacity)
+            _check_floor(power_tol, filled_power)
+            if prev is not None and abs(capacity - prev[0]) <= tol \
+                    and abs(filled_power - prev[1]) <= power_tol:
+                break
+            prev = capacity, filled_power
+        else:
+            raise ConvergenceError(
+                f"capacity quadrature did not reach tolerance {tol:g} after "
+                f"refinement up to {_PANELS << (_MAX_LEVELS - 1)} panels")
+        residual = abs(filled_power - power)
 
     def input_psd(th):
         return np.maximum(nu - psd_eval(psd, th), 0.0)
 
     return WaterfillSolution(
-        power=float(power),
+        power=power,
         water_level=nu,
         capacity_bits=capacity,
         power_residual=residual,
         input_psd=input_psd,
-        band_crossings=crossings,
+        band_crossings=tuple(
+            float(t) for t in edges[1:-1][filled[:-1] != filled[1:]]),
     )

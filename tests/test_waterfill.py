@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
@@ -277,6 +279,19 @@ def test_paper_channel_level_is_exact():
     assert water_level(PAPER_CHANNEL, 50.0) == 52.0
 
 
+@pytest.mark.parametrize("tail", [1e-14, 1e-26, 1.5e-89])
+def test_negligible_trailing_tap_keeps_the_crossings(tail):
+    """S = |1 + z^2 + tail z^3|^2 is 2 + 2 cos(2 theta) to within rounding,
+    with the paper channel's values at twice the speed, so the same level.
+    As the leading coefficient of the crossings' Chebyshev series, a tap
+    this small would scale their companion matrix by its reciprocal and
+    lose them (from a ratio of about 1e-26 on, a level 2.6% high)."""
+    spec = PsdSpec.ma((1.0, 0.0, 1.0, tail))
+    for power in (0.1, 1.0, 1.9):
+        assert water_level(spec, power) == pytest.approx(
+            water_level(PAPER_CHANNEL, power), rel=4 * EPS)
+
+
 def test_samples_level_is_exact():
     # a tent with peak 2 at pi/2: F(nu) = nu^2 / 4 for nu <= 2
     spec = PsdSpec.from_samples([0.0, 2.0, 0.0])
@@ -413,20 +428,30 @@ def test_paper_channel_work_budget(monkeypatch):
 @pytest.mark.parametrize("spec, power", [
     (PAPER_CHANNEL, 7.0),
     (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)), 1e3),
-], ids=["paper_p7", "ma8_p1e3"])
+    (PsdSpec.white(1.0), 3.0),
+    (PsdSpec.white(0.3), 0.3e-20),
+    (PsdSpec.white(2.0), 1e-17),
+], ids=["paper_p7", "ma8_p1e3", "white_p3", "white_p1e-20n",
+        "white_below_half_ulp"])
 def test_full_band_work_budget(monkeypatch, spec, power):
     """At nu0 = mean S + P >= sigma2 (sum |b_k|)^2 >= max S the whole band
     fills and nu0 is the level exactly, so no crossing is searched for
-    (no chebroots call) and one psd_eval serves the power check."""
-    b = np.asarray(spec.coeffs)
-    assert spec.sigma2 * float(b @ b) + power >= \
-        spec.sigma2 * float(np.abs(b).sum()) ** 2
+    (no chebroots call) and one psd_eval serves the power check.  White
+    noise fills at every power, with no psd_eval at all, also where P is
+    below half an ulp of N and nu0 rounds to N."""
+    if spec.form == "white":
+        mean = bound = spec.level
+    else:
+        b = np.asarray(spec.coeffs)
+        mean = spec.sigma2 * float(b @ b)
+        bound = spec.sigma2 * float(np.abs(b).sum()) ** 2
+    assert mean + power >= bound
     roots = counted_chebroots(monkeypatch)
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
     assert roots == []
-    assert len(sizes) == 1
-    assert sol.water_level == spec.sigma2 * float(b @ b) + power
+    assert len(sizes) == (spec.form == "ma")
+    assert sol.water_level == mean + power
     assert sol.band_crossings == ()
 
 
@@ -449,25 +474,34 @@ def test_conjecture_check_level_budget(monkeypatch):
     assert len(roots) <= 270
 
 
-def test_sampled_start_on_both_sides_of_the_root():
+def test_sampled_start_on_both_sides_of_the_root(monkeypatch):
     """The sampled start lies above the root on some partial bands and
     below it on others, where one Newton step from below must land at or
     above the root; either way the level meets the oracle."""
+    sampled_level, starts = waterfill._sampled_level, []
+
+    def recorded(s, power):
+        starts.append(sampled_level(s, power))
+        return starts[-1]
+
+    monkeypatch.setattr(waterfill, "_sampled_level", recorded)
     rng = np.random.default_rng(1010)
     sides = set()
     for q in range(1, 17):
         spec = PsdSpec.ma(min_phase_taps(rng, q),
                           float(10 ** rng.uniform(-1, 1)))
         s, oracle = direct_psd(spec), Oracle(spec)
-        mean, bound = waterfill._mean_and_bound(spec)
-        start = waterfill._level_terms(spec, mean, bound)[0]
+        mean = waterfill._mean_and_bound(spec)[0]
         smax = max(s(t) for t in np.linspace(0.0, PI, 1025))
         for u in (0.02, 0.2, 0.7):
             # below smax - mean S the band does not fill
             power = float(u * (smax - mean))
+            starts.clear()
             sol = nonfeedback_capacity(spec, power)
             nu = sol.water_level
-            nu_hat = start(power, mean + power)
+            # the start is the sampled level, capped at nu0 = mean S + P
+            assert len(starts) == 1
+            nu_hat = min(starts[0], mean + power)
             sides.add(nu_hat > nu)
             assert nu == pytest.approx(oracle.level(power), rel=1e-12, abs=0)
             assert sol.power_residual <= 1e-10 * max(1.0, power)
@@ -475,6 +509,44 @@ def test_sampled_start_on_both_sides_of_the_root():
             for theta in sol.band_crossings:
                 assert abs(s(theta) - nu) <= 1e-12 * max(nu, smax)
     assert sides == {True, False}
+
+
+# ---- the level as a property, over drawn spectra and powers --------------
+
+@st.composite
+def spectra(draw):
+    """A white, MA(0..8) or samples (2 to 12 nodes) spectrum."""
+    form = draw(st.sampled_from(("white", "ma", "samples")))
+    scale = st.floats(0.1, 10.0)
+    if form == "white":
+        return PsdSpec.white(draw(scale))
+    if form == "ma":
+        taps = draw(st.lists(st.floats(-2.0, 2.0), min_size=0, max_size=8))
+        return PsdSpec.ma((1.0, *taps), draw(scale))
+    return PsdSpec.from_samples(
+        draw(st.lists(st.floats(0.05, 10.0), min_size=2, max_size=12)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(spec=spectra(), log_power=st.floats(-2.0, 4.0))
+def test_level_property(spec, log_power):
+    """The level meets an independent oracle to 1e-12 relative, and where
+    nu0 = mean S + P reaches the bound on max S (white, MA) it is nu0
+    exactly."""
+    power = 10.0 ** log_power
+    nu = water_level(spec, power)
+    if spec.form == "samples":
+        expected = samples_reference(list(spec.values), power)[0]
+    else:
+        expected = Oracle(spec).level(power)
+    assert nu == pytest.approx(expected, rel=1e-12, abs=0)
+    if spec.form == "white":
+        assert nu == spec.level + power
+    elif spec.form == "ma":
+        b = np.asarray(spec.coeffs)
+        nu0 = spec.sigma2 * float(b @ b) + power
+        if nu0 >= spec.sigma2 * float(np.abs(b).sum()) ** 2:
+            assert nu == nu0
 
 
 def paper_level_reference(power):
