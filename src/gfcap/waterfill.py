@@ -31,12 +31,17 @@ and no quadrature ever sees the log singularity at a zero of S:
   int_F ln S = pi mean ln S - int_U ln S, where S >= nu > 0 on the
   unfilled set U, so int_U ln S is smooth.
 
-One composite Gauss-Legendre pass over [0, pi], whose panel edges include
-the solve's breakpoints, integrates ln S over U and, as a check on the
-solve that shares none of its code, nu - S over F: the power residual.
-The panels double until two levels agree; the first two levels are
-evaluated from one psd_eval call.  A spectrum that vanishes on a band has
-infinite capacity and is rejected.
+Only a partial band reaches a quadrature: one composite Gauss-Legendre
+pass over [0, pi], whose panel edges include the solve's breakpoints,
+integrates ln S over U and, as a check on the solve that shares none of
+its code, nu - S over F: the power residual.  The panels double until two
+levels agree; the first two levels are evaluated from one psd_eval call.
+A full band has U empty, so its capacity is the closed form above, and
+its power check is nu - mean S from psd_eval at m midpoints
+(j + 1/2) pi / m, a rule exact for S: m = len(b) for MA, whose cosine
+series stops below degree 2m, and for samples the m cells between the
+nodes, on each of which S is linear.  A spectrum that vanishes on a band
+has infinite capacity and is rejected.
 """
 
 from __future__ import annotations
@@ -302,10 +307,16 @@ def _jensen_mean_log(spec: PsdSpec, tol: float):
     The roots are the eigenvalues of B's companion matrix (MA(1) has the
     one root -b0 / b1), and one Horner pass gives B(z), B'(z) and
     sum_j |b_j| |z|^j, the scale of the rounding of B(z).
+
+    Trailing taps up to eps sum |b_k| are dropped first: as the leading
+    coefficient, such a tap's reciprocal scales the companion matrix and
+    spoils the roots on the unit circle.  The scale still runs over every
+    tap, so the dropped tail, below B's rounding, is counted as rounding.
     """
-    b = np.asarray(spec.coeffs)
-    # trailing zero taps dropped; _reject_vanishing has left a nonzero one
-    b = b[:np.flatnonzero(b)[-1] + 1]
+    taps = np.asarray(spec.coeffs)
+    # _reject_vanishing has left a nonzero tap, and so one that is kept
+    kept = np.flatnonzero(np.abs(taps) > _EPS * np.abs(taps).sum())
+    b = taps[:kept[-1] + 1]
     if len(b) <= 2:
         z = -b[:-1] / b[-1]
     else:
@@ -317,9 +328,10 @@ def _jensen_mean_log(spec: PsdSpec, tol: float):
     for bj in b[::-1]:
         slope = slope * z + value
         value = value * z + bj
+    for bj in taps[::-1]:
         scale = scale * r + abs(bj)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dz = (np.abs(value) + 2 * len(b) * _EPS * scale) / np.abs(slope)
+        dz = (np.abs(value) + 2 * len(taps) * _EPS * scale) / np.abs(slope)
     bound = float(np.sum(dz[np.abs(r - 1.0) <= dz])) / _LN2
     if not bound <= tol:
         raise ConvergenceError(
@@ -411,19 +423,28 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
             mean_log = _jensen_mean_log(psd, tol)
         else:
             filled_log = _filled_log_samples(psd, edges, filled) / math.pi
-        # panels double until two levels agree on both numbers: the
-        # capacity within tol, the filled power (about P) within
-        # tol * max(1, P)
+        full = bool(filled.all())
+        if full:
+            # U is empty, and the midpoint rule at (j + 1/2) pi / m is exact
+            # for S: for MA, sum_j cos(k theta_j) = 0 for 0 < k < 2m; for
+            # samples, S is linear on each cell between nodes
+            m = len(psd.coeffs) if psd.form == "ma" else len(psd.values) - 1
+            theta = (np.arange(m) + 0.5) * (math.pi / m)
+            levels = [(0.0, nu - float(np.mean(psd_eval(psd, theta))))]
+        else:
+            levels = _quadrature_levels(psd, nu, edges, filled)
+        # a partial band's panels double until two levels agree on both
+        # numbers: the capacity within tol, the filled power (about P)
+        # within tol * max(1, P)
         power_tol = tol * max(1.0, power)
         prev = None
-        for unfilled_log, filled_power in _quadrature_levels(psd, nu, edges,
-                                                             filled):
+        for unfilled_log, filled_power in levels:
             if psd.form == "ma":
                 filled_log = mean_log - unfilled_log
             capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
             _check_floor(tol, capacity)
             _check_floor(power_tol, filled_power)
-            if prev is not None and abs(capacity - prev[0]) <= tol \
+            if full or prev is not None and abs(capacity - prev[0]) <= tol \
                     and abs(filled_power - prev[1]) <= power_tol:
                 break
             prev = capacity, filled_power

@@ -428,31 +428,111 @@ def test_paper_channel_work_budget(monkeypatch):
 @pytest.mark.parametrize("spec, power", [
     (PAPER_CHANNEL, 7.0),
     (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)), 1e3),
+    (PsdSpec.from_samples([1, 2, 3, 2, 1]), 1e6),
     (PsdSpec.white(1.0), 3.0),
     (PsdSpec.white(0.3), 0.3e-20),
     (PsdSpec.white(2.0), 1e-17),
-], ids=["paper_p7", "ma8_p1e3", "white_p3", "white_p1e-20n",
+], ids=["paper_p7", "ma8_p1e3", "samples_p1e6", "white_p3", "white_p1e-20n",
         "white_below_half_ulp"])
 def test_full_band_work_budget(monkeypatch, spec, power):
     """At nu0 = mean S + P >= sigma2 (sum |b_k|)^2 >= max S the whole band
     fills and nu0 is the level exactly, so no crossing is searched for
-    (no chebroots call) and one psd_eval serves the power check.  White
-    noise fills at every power, with no psd_eval at all, also where P is
-    below half an ulp of N and nu0 rounds to N."""
+    (no chebroots call).  A full band never reaches the quadrature: one
+    psd_eval at m midpoints, m = len(b) for MA and the number of cells for
+    samples, serves the power check.  White noise fills at every power,
+    with no psd_eval at all, also where P is below half an ulp of N and
+    nu0 rounds to N."""
     if spec.form == "white":
         mean = bound = spec.level
-    else:
+        points = None
+    elif spec.form == "ma":
         b = np.asarray(spec.coeffs)
         mean = spec.sigma2 * float(b @ b)
         bound = spec.sigma2 * float(np.abs(b).sum()) ** 2
+        points = len(b)
+    else:
+        v = np.asarray(spec.values, dtype=float)
+        mean, bound = float(np.mean(0.5 * (v[:-1] + v[1:]))), float(v.max())
+        points = len(v) - 1
     assert mean + power >= bound
+
+    def no_quadrature(*args):
+        raise AssertionError("a full band reached the quadrature")
+
+    monkeypatch.setattr(waterfill, "_band_integrals", no_quadrature)
     roots = counted_chebroots(monkeypatch)
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
     assert roots == []
-    assert len(sizes) == (spec.form == "ma")
+    assert sizes == ([] if points is None else [points])
     assert sol.water_level == mean + power
     assert sol.band_crossings == ()
+
+
+@pytest.mark.parametrize("spec, power", [
+    (PAPER_CHANNEL, 7.0),
+    (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)), 1e3),
+    (PsdSpec.white(1.0), 3.0),
+], ids=["paper_p7", "ma8_p1e3", "white_p3"])
+def test_full_band_power_check_is_independent_of_the_solve(monkeypatch, spec,
+                                                           power):
+    """The full-band level is nu0 = mean S + P from _mean_and_bound, and
+    the power check evaluates S on its own: a mean off by delta puts the
+    level off by delta, and the power residual reads delta."""
+    delta, mean_and_bound = 1e-6, waterfill._mean_and_bound
+
+    def shifted(psd):
+        mean, bound = mean_and_bound(psd)
+        return mean + delta, bound
+
+    monkeypatch.setattr(waterfill, "_mean_and_bound", shifted)
+    sol = nonfeedback_capacity(spec, power)
+    assert sol.band_crossings == ()
+    assert sol.power_residual == pytest.approx(delta, rel=1e-6)
+
+
+def full_band_cases():
+    """Random MA(1..16) spectra (Gaussian taps) and samples spectra (2 to
+    12 nodes), each with a power that fills the band: for MA once nu0
+    reaches sigma2 (sum |b_k|)^2, and also between max S and that bound,
+    where Newton finds the level; for samples from max S on."""
+    rng = np.random.default_rng(1212)
+    cases = []
+    for q in (1, 2, 3, 5, 8, 12, 16):
+        spec = PsdSpec.ma(rng.standard_normal(q + 1),
+                          float(10 ** rng.uniform(-1, 1)))
+        b = np.asarray(spec.coeffs)
+        mean = spec.sigma2 * float(b @ b)
+        bound = spec.sigma2 * float(np.abs(b).sum()) ** 2
+        cases.append((spec, float(bound - mean) * (1.0 + rng.uniform())))
+        smax = float(Oracle(spec).vals.max())
+        cases.append((spec, 1.01 * (smax - mean) + 1e-6 * bound))
+    for n in (2, 3, 5, 8, 12):
+        values = rng.uniform(0.05, 10.0, size=n)
+        mean = float(np.mean(0.5 * (values[:-1] + values[1:])))
+        cases.append((PsdSpec.from_samples(values.tolist()),
+                      float(values.max() - mean + 10 ** rng.uniform(-2, 3))))
+    return cases
+
+
+@pytest.mark.parametrize("spec, power", full_band_cases(), ids=lambda x: (
+    (f"ma{len(x.coeffs) - 1}" if x.form == "ma" else f"samples{len(x.values)}")
+    if isinstance(x, PsdSpec) else f"p{x:.3g}"))
+def test_full_band_capacity_against_scipy(spec, power):
+    """On a full band the capacity is (ln nu - mean ln S) / (2 ln 2), with
+    no quadrature in gfcap; scipy's quad over [0, pi] is the judge."""
+    sol = nonfeedback_capacity(spec, power)
+    assert sol.band_crossings == ()
+    if spec.form == "ma":
+        oracle = Oracle(spec)
+        assert sol.water_level == pytest.approx(oracle.level(power),
+                                                rel=1e-12, abs=0)
+        cap = oracle.capacity(sol.water_level)
+    else:
+        nu, cap = samples_reference(list(spec.values), power)
+        assert sol.water_level == pytest.approx(nu, rel=1e-12, abs=0)
+    assert sol.capacity_bits == pytest.approx(cap, abs=1e-10)
+    assert sol.power_residual <= 1e-10 * max(1.0, power)
 
 
 @pytest.mark.parametrize("power", [0.1, 0.5, 1.0, 1.5])
@@ -739,3 +819,20 @@ def test_multiple_unit_circle_zeros_exceed_both_bounds(taps):
     waterfill._jensen_mean_log.cache_clear()
     with pytest.raises(ConvergenceError):
         waterfill._jensen_mean_log(spec, 1e-10)
+
+
+@pytest.mark.parametrize("tail", [0.0, 1e-30, 1.5e-89])
+def test_jensen_drops_negligible_trailing_taps(tail):
+    """A trailing tap up to eps sum |b_k| is dropped before the eigensolve,
+    so taps (1, 0, 1, tail) give the capacity of (1, 0, 1); as the leading
+    coefficient it would put a root near 1 / tail into the companion
+    matrix and spoil the two on the unit circle (bound inf at 1.5e-89)."""
+    sol = nonfeedback_capacity(PsdSpec.ma((1.0, 0.0, 1.0, tail)), 1.0)
+    assert sol.capacity_bits == pytest.approx(0.7834378815308305, abs=4 * EPS)
+
+
+def test_jensen_keeps_a_trailing_tap_above_rounding():
+    """A tap of 1e-14, above eps sum |b_k|, stays in B, and the bound on
+    its roots (6.87e-10) honestly exceeds the default tolerance."""
+    with pytest.raises(ConvergenceError, match="capacity error bound"):
+        nonfeedback_capacity(PsdSpec.ma((1.0, 0.0, 1.0, 1e-14)), 1.0)
