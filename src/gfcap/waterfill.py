@@ -12,8 +12,8 @@ F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi, and both come in
 closed form from the exact crossings of S = nu: for MA spectra the real
 roots of a Chebyshev series in cos(theta), for samples the linear
 crossings between nodes.  From any start at or above the root Newton falls
-monotonically onto it.  A samples spectrum starts at nu0.  An MA band
-starts closer: at the discrete water level of S sampled at 64 midpoints,
+monotonically onto it.  A samples spectrum starts at nu0.  An MA(q >= 2)
+band starts closer: at the discrete water level of S sampled at 64 midpoints,
 capped at nu0, or, where F is below P there, one Newton step from below
 it, which convexity puts at or above the root.  A crossing's error enters
 F only at second order, so the iterates use the crossings through arccos,
@@ -31,21 +31,38 @@ and no quadrature ever sees the log singularity at a zero of S:
   int_F ln S = pi mean ln S - int_U ln S, where S >= nu > 0 on the
   unfilled set U, so int_U ln S is smooth.
 
-Only a partial band reaches a quadrature: one composite Gauss-Legendre
-pass over [0, pi], whose panel edges include the solve's breakpoints,
-integrates ln S over U and, as a check on the solve that shares none of
-its code, nu - S over F: the power residual.  The panels double until two
-levels agree; the first two levels are evaluated from one psd_eval call.
+Only a partial MA(q >= 2) or samples band reaches a quadrature: one
+composite Gauss-Legendre pass over [0, pi], whose panel edges include the
+solve's breakpoints, integrates ln S over U and, as a check on the solve
+that shares none of its code, nu - S over F: the power residual.  The
+panels double until two levels agree; the first two levels are evaluated
+from one psd_eval call.
 A full band has U empty, so its capacity is the closed form above, and
 its power check is nu - mean S from psd_eval at m midpoints
 (j + 1/2) pi / m, a rule exact for S: m = len(b) for MA, whose cosine
 series stops below degree 2m, and for samples the m cells between the
 nodes, on each of which S is linear.  A spectrum that vanishes on a band
 has infinite capacity and is rejected.
+
+An MA(1) spectrum, taps (b0, b1), the paper's channel among them, is
+solved in scalar closed forms, with no eigensolve and no quadrature.  With
+a = 2 sigma2 |b0 b1| and m = sigma2 (|b0| - |b1|)^2, S = m + 2a sin^2(u/2)
+in the distance u from its minimum, at pi where b0 b1 > 0, else at 0.
+P >= a fills the band; below it the filled arc u < phi has
+F = (a / pi)(sin phi - phi cos phi), so phi is one bracketed scalar Newton
+solve, nu = m + 2a sin^2(phi / 2), and the one crossing is at pi - phi or
+phi.  With r = min / max of |b0|, |b1|, S = sigma2 b_max^2 |1 - r e^{iu}|^2
+gives mean ln S = ln(sigma2 b_max^2) and
+C = (phi ln(nu / (sigma2 b_max^2)) + 2 Im Li2(r e^{i phi})) / (2 pi ln 2),
+by the dilogarithm Li2; at r = 1, Im Li2(e^{i phi}) is Clausen's function.
+The power check stays apart from the solve: the 16-point Gauss-Legendre
+rule on nu - S over the filled arc, exact to rounding for a cosine series
+of degree 1, or the 2-midpoint rule on a full band.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -77,6 +94,21 @@ _ROOT_WINDOW = 1e-6
 # of S at this many midpoints of [0, pi]
 _START_SAMPLES = 64
 _START_THETA = (np.arange(_START_SAMPLES) + 0.5) * (math.pi / _START_SAMPLES)
+# Cap on the iterations of the MA(1) band-width solve, which took at most 8
+# over 200,000 drawn widths
+_WIDTH_MAX_ITER = 50
+# Taylor coefficients (-1)^(n+1) 2n / (2n+1)! of (sin x - x cos x) / x^3 in x^2
+_G_SERIES = (0.3333333333333333, -0.03333333333333333, 0.0011904761904761906,
+             -2.2045855379188714e-05, 2.505210838544172e-07,
+             -1.9270852604185937e-09, 1.0706029224547743e-11)
+# 1 / k^2 for k = 43, 42, ..., 1: the power series of Li2, Horner order
+_LI2_POWER = tuple(1.0 / (k * k) for k in range(43, 0, -1))
+# B_2k / (2k+1)! for k = 1..12: Li2's series in u = -ln(1 - w)
+_LI2_BERNOULLI = (
+    0.027777777777777776, -0.0002777777777777778, 4.72411186696901e-06,
+    -9.185773074661964e-08, 1.8978869988971e-09, -4.0647616451442256e-11,
+    8.921691020456452e-13, -1.9939295860721074e-14, 4.518980029619918e-16,
+    -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21)
 
 
 @dataclass(frozen=True)
@@ -216,10 +248,79 @@ def _mean_and_bound(spec: PsdSpec):
     return float((v.sum() - 0.5 * (v[0] + v[-1])) / (len(v) - 1)), float(v.max())
 
 
+def _sin_minus_x_cos(x):
+    """g(x) = sin x - x cos x, summed as its Taylor series below x = 1/2,
+    where the difference cancels; the first omitted term is below 1e-17 g."""
+    if x >= 0.5:
+        return math.sin(x) - x * math.cos(x)
+    x2, acc = x * x, 0.0
+    for c in reversed(_G_SERIES):
+        acc = acc * x2 + c
+    return acc * x2 * x
+
+
+def _ma1_width(t, tau):
+    """phi in (0, pi) with g(phi) = sin phi - phi cos phi = t, given
+    tau = pi - t apart so that it keeps its digits as phi -> pi.
+
+    g rises from 0 to pi with slope phi sin phi, which vanishes at both
+    ends, so the unknown is x = phi where t <= g(pi / 2) = 1, and otherwise
+    x = pi - phi, the root of pi - g(pi - x) = 2 pi sin^2(x/2) - g(x) = tau
+    with slope (pi - x) sin x: either way x lies in (0, pi/2], and g's
+    series keeps the digits of a small x.  Newton starts from the leading
+    term of each end, x = (3 t)^(1/3) or (2 tau / pi)^(1/2), and bisects the
+    bracket the signs of the gaps leave whenever a step falls outside it.
+    It stops once a step is within 4 eps x, or the bracket is."""
+    low = t <= 1.0
+    start = (3.0 * t) ** (1.0 / 3.0) if low else math.sqrt(2.0 * tau / math.pi)
+    x = min(start, 0.5 * math.pi)
+    lo, hi = 0.0, 0.5 * math.pi
+    for _ in range(_WIDTH_MAX_ITER):
+        if low:
+            gap, slope = _sin_minus_x_cos(x) - t, x * math.sin(x)
+        else:
+            gap = (2.0 * math.pi * math.sin(0.5 * x) ** 2
+                   - _sin_minus_x_cos(x) - tau)
+            slope = (math.pi - x) * math.sin(x)
+        if gap > 0.0:
+            hi = x
+        else:
+            lo = x
+        step = gap / slope
+        if abs(step) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * hi:
+            x -= step
+            return x if low else math.pi - x
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(
+        f"MA(1) band-width Newton solve did not converge in "
+        f"{_WIDTH_MAX_ITER} iterations (last width {x!r})")
+
+
+def _ma1_level(spec: PsdSpec, power: float, nu0: float):
+    """(nu, edges, filled) for MA(1) taps (b0, b1) in closed form.  In the
+    distance u from its minimum (at pi where b0 b1 > 0, else at 0),
+    S = m + 2a sin^2(u/2) with m = sigma2 (|b0| - |b1|)^2 and
+    a = 2 sigma2 |b0 b1|.  P >= a fills the band, at nu0; below it the
+    filled arc u < phi has F = (a / pi) g(phi), g(phi) = sin phi - phi cos phi,
+    so phi solves g(phi) = pi P / a, and nu = m + 2a sin^2(phi/2)."""
+    b0, b1 = spec.coeffs
+    a = 2.0 * spec.sigma2 * abs(b0 * b1)
+    if power >= a:
+        return nu0, np.array([0.0, math.pi]), np.array([True])
+    phi = _ma1_width(math.pi * power / a, math.pi * ((a - power) / a))
+    nu = (spec.sigma2 * (abs(b0) - abs(b1)) ** 2
+          + 2.0 * a * math.sin(0.5 * phi) ** 2)
+    if b0 * b1 > 0.0:
+        return (nu, np.array([0.0, math.pi - phi, math.pi]),
+                np.array([False, True]))
+    return nu, np.array([0.0, phi, math.pi]), np.array([True, False])
+
+
 def _solve_level(spec: PsdSpec, power: float):
     """The water level nu, with the breakpoints and filled flags of its
-    pieces: a full band's nu0 first, else Newton on the convex F from a
-    start at or above the root, as the module docstring sets out.
+    pieces: a full band's nu0 first, then MA(1) in closed form, else Newton
+    on the convex F from a start at or above the root, as the module
+    docstring sets out.
 
     The terms summed into F are bounded by nu + bound, where bound is max S
     for samples and, for MA, sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|.  So
@@ -234,6 +335,8 @@ def _solve_level(spec: PsdSpec, power: float):
     nu0 = nu = mean + power
     if spec.form != "samples" and nu0 >= bound:
         return nu0, np.array([0.0, math.pi]), np.array([True])
+    if spec.form == "ma" and len(spec.coeffs) == 2:
+        return _ma1_level(spec, power, nu0)
     if spec.form == "ma":
         c = _cosine_series(spec)
         split, pieces = _ma_pieces(c)
@@ -341,6 +444,70 @@ def _jensen_mean_log(spec: PsdSpec, tol: float):
             + 2.0 * float(np.sum(np.log(np.maximum(r, 1.0)))))
 
 
+def _li2(w, v):
+    """The dilogarithm Li2(w) = sum_k w^k / k^2 for |w| <= 1, given
+    v = 1 - w apart so that it keeps its digits next to w = 1:
+
+    - |w| <= 1/2: the power series to k = 43, whose tail is below
+      2 * 2^-44 / 44^2 < 1e-16;
+    - Re w <= 1/2: u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in
+      u = -ln v, where |u| <= 1.5 and the terms fall by
+      (|u| / 2 pi)^2 <= 0.06, so the tail past k = 12 is below 1e-17;
+    - Re w > 1/2: the reflection pi^2/6 - ln w ln v - Li2(v), where
+      |v| < 1 and Re v < 1/2, and Li2(1) = pi^2/6.
+    """
+    if abs(w) <= 0.5:
+        acc = 0j
+        for c in _LI2_POWER:
+            acc = acc * w + c
+        return acc * w
+    if w.real <= 0.5:
+        u = -cmath.log(v)
+        u2, acc = u * u, 0j
+        for c in reversed(_LI2_BERNOULLI):
+            acc = acc * u2 + c
+        return u - 0.25 * u2 + acc * u2 * u
+    if v == 0.0:
+        return complex(math.pi ** 2 / 6.0)
+    return math.pi ** 2 / 6.0 - cmath.log(w) * cmath.log(v) - _li2(v, w)
+
+
+def _ma1_capacity(psd: PsdSpec, nu, edges, filled):
+    """(C, filled power) of an MA(1) spectrum in closed form.  With
+    r = b_min / b_max <= 1 over |b0|, |b1|, S = sigma2 b_max^2 |1 - r e^{iu}|^2
+    in the distance u from its minimum, so mean ln S = ln(sigma2 b_max^2),
+    and over a filled arc u < phi,
+    int ln |1 - r e^{iu}|^2 du = -2 Im Li2(r e^{i phi}), whence
+    C = (phi ln(nu / (sigma2 b_max^2)) + 2 Im Li2(r e^{i phi})) / (2 pi ln 2).
+    The power check of a full band is _full_band_power; over a filled arc
+    it is the 16-point Gauss-Legendre rule on nu - S, one psd_eval, exact
+    to rounding for a cosine series of degree 1 (error below 1e-38 |c1|)."""
+    small, large = sorted(map(abs, psd.coeffs))
+    log_scale = math.log(psd.sigma2) + 2.0 * math.log(large)
+    if filled.all():
+        return (0.5 * (math.log(nu) - log_scale) / _LN2,
+                _full_band_power(psd, nu))
+    i = 0 if filled[0] else 1
+    half = 0.5 * float(edges[i + 1] - edges[i])
+    phi, r = 2.0 * half, small / large
+    w = complex(r * math.cos(phi), r * math.sin(phi))
+    v = complex((1.0 - r) + 2.0 * r * math.sin(half) ** 2, -r * math.sin(phi))
+    capacity = ((phi * (math.log(nu) - log_scale) + 2.0 * _li2(w, v).imag)
+                / (2.0 * math.pi * _LN2))
+    s = psd_eval(psd, edges[i] + half + half * _GL_NODES)
+    return capacity, half * float(_GL_WEIGHTS @ (nu - s)) / math.pi
+
+
+def _full_band_power(psd: PsdSpec, nu):
+    """F(nu) = nu - mean S on a full band, with mean S from psd_eval at m
+    midpoints (j + 1/2) pi / m, a rule exact for S: for MA, m = len(b) and
+    sum_j cos(k theta_j) = 0 for 0 < k < 2m; for samples, m cells between
+    the nodes, on each of which S is linear."""
+    m = len(psd.coeffs) if psd.form == "ma" else len(psd.values) - 1
+    theta = (np.arange(m) + 0.5) * (math.pi / m)
+    return nu - float(np.mean(psd_eval(psd, theta)))
+
+
 def _filled_log_samples(spec: PsdSpec, edges, filled):
     """int_F ln S for a samples spectrum: on a piece where S runs linearly
     from a to b, the mean of ln S is ln m + g(t), with m = (a + b) / 2,
@@ -417,6 +584,11 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
         capacity = 0.5 * math.log2(nu / psd.level)
         _check_floor(tol, capacity)
         residual = abs(nu - psd.level - power)
+    elif psd.form == "ma" and len(psd.coeffs) == 2:
+        capacity, filled_power = _ma1_capacity(psd, nu, edges, filled)
+        _check_floor(tol, capacity)
+        _check_floor(tol * max(1.0, power), filled_power)
+        residual = abs(filled_power - power)
     else:
         width = float(np.sum(np.diff(edges)[filled])) / math.pi
         if psd.form == "ma":
@@ -425,12 +597,8 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
             filled_log = _filled_log_samples(psd, edges, filled) / math.pi
         full = bool(filled.all())
         if full:
-            # U is empty, and the midpoint rule at (j + 1/2) pi / m is exact
-            # for S: for MA, sum_j cos(k theta_j) = 0 for 0 < k < 2m; for
-            # samples, S is linear on each cell between nodes
-            m = len(psd.coeffs) if psd.form == "ma" else len(psd.values) - 1
-            theta = (np.arange(m) + 0.5) * (math.pi / m)
-            levels = [(0.0, nu - float(np.mean(psd_eval(psd, theta))))]
+            # U is empty
+            levels = [(0.0, _full_band_power(psd, nu))]
         else:
             levels = _quadrature_levels(psd, nu, edges, filled)
         # a partial band's panels double until two levels agree on both

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
 from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import spence
 
 from gfcap import waterfill
 from gfcap.feedback import conjecture_check
@@ -401,28 +402,55 @@ def counted_psd_eval(monkeypatch):
     return sizes
 
 
+def counted_calls(monkeypatch, owner, name):
+    """Patch owner.name to record the arguments of each call."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def counted_chebroots(monkeypatch):
-    """Patch waterfill's chebroots, one eigensolve per level evaluation of
-    a partial MA band, to record each call's series."""
-    chebroots, roots = waterfill.chebyshev.chebroots, []
-
-    def counted(p):
-        roots.append(p)
-        return chebroots(p)
-
-    monkeypatch.setattr(waterfill.chebyshev, "chebroots", counted)
-    return roots
+    """Record waterfill's chebroots calls, one eigensolve per level
+    evaluation of a partial MA(q >= 2) band."""
+    return counted_calls(monkeypatch, waterfill.chebyshev, "chebroots")
 
 
 def test_paper_channel_work_budget(monkeypatch):
     """One capacity solve on the paper channel, which crosses the level at
-    P = 1, evaluates the spectrum in one call over at most 4,000 points:
-    the first two quadrature levels share it, and they agree."""
+    P = 1, evaluates the spectrum once, at the 16 Gauss-Legendre nodes of
+    the power check on the filled arc."""
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(PAPER_CHANNEL, 1.0)
     assert len(sol.band_crossings) == 1
-    assert len(sizes) == 1
-    assert sum(sizes) <= 4000
+    assert sizes == [16]
+
+
+@pytest.mark.parametrize("taps, sigma2, power", [
+    ((1.0, -0.9433), 1.0, 0.00116),
+    ((0.5, 1.0), 2.0, 0.3),
+    ((1.0, -2.0), 0.5, 1e-6),
+    ((1.0, 0.3), 1.5, 5.0),
+], ids=["ma1_neg", "ma1_nonmin", "ma1_neg_nonmin", "ma1_full"])
+def test_ma1_work_budget(monkeypatch, taps, sigma2, power):
+    """An MA(1) solve is scalar closed forms: no eigensolve, no sampled
+    start, no quadrature, and one psd_eval for the power check, over the 16
+    Gauss-Legendre nodes of the filled arc or the 2 midpoints of a full
+    band."""
+    spec = PsdSpec.ma(taps, sigma2)
+    waterfill._jensen_mean_log.cache_clear()
+    counts = [counted_calls(monkeypatch, *target) for target in (
+        (waterfill.chebyshev, "chebroots"), (np.linalg, "eigvals"),
+        (waterfill, "_sampled_level"), (waterfill, "_band_integrals"),
+        (waterfill, "_jensen_mean_log"))]
+    sizes = counted_psd_eval(monkeypatch)
+    sol = nonfeedback_capacity(spec, power)
+    assert counts == [[]] * len(counts)
+    assert sizes == ([16] if sol.band_crossings else [2])
 
 
 @pytest.mark.parametrize("spec, power", [
@@ -537,27 +565,37 @@ def test_full_band_capacity_against_scipy(spec, power):
 
 @pytest.mark.parametrize("power", [0.1, 0.5, 1.0, 1.5])
 def test_partial_band_level_budget(monkeypatch, power):
-    """The Newton solve of a partial band starts from the sampled discrete
-    water level, close to the root, and polishes only the returned
-    crossings: at most 4 level evaluations, each one eigensolve."""
+    """The Newton solve of a partial MA(q >= 2) band starts from the sampled
+    discrete water level, close to the root, and polishes only the returned
+    crossings: at most 4 level evaluations, each one eigensolve.  Here on
+    S = |1 + z^2|^2, the paper channel at twice the speed, with the same
+    level.  The paper channel itself, MA(1), takes none."""
     roots = counted_chebroots(monkeypatch)
+    sol = nonfeedback_capacity(PsdSpec.ma((1.0, 0.0, 1.0)), power)
+    assert len(sol.band_crossings) == 2
+    assert 1 <= len(roots) <= 4
+    roots.clear()
     sol = nonfeedback_capacity(PAPER_CHANNEL, power)
     assert len(sol.band_crossings) == 1
-    assert 1 <= len(roots) <= 4
+    assert roots == []
 
 
 def test_conjecture_check_level_budget(monkeypatch):
-    """The 81 capacity solves of the counterexample, most of them partial
-    bands, take at most 270 level evaluations between them."""
+    """The 81 capacity solves of the counterexample are all on the paper
+    channel, MA(1), so none of them takes an eigensolve."""
     roots = counted_chebroots(monkeypatch)
+    eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
+    waterfill._jensen_mean_log.cache_clear()
     conjecture_check(1.0)
-    assert len(roots) <= 270
+    assert roots == []
+    assert eigvals == []
 
 
 def test_sampled_start_on_both_sides_of_the_root(monkeypatch):
-    """The sampled start lies above the root on some partial bands and
-    below it on others, where one Newton step from below must land at or
-    above the root; either way the level meets the oracle."""
+    """The sampled start lies above the root on some partial MA(q >= 2)
+    bands and below it on others, where one Newton step from below must land
+    at or above the root; either way the level meets the oracle.  MA(1)
+    bands take no sampled start."""
     sampled_level, starts = waterfill._sampled_level, []
 
     def recorded(s, power):
@@ -579,10 +617,13 @@ def test_sampled_start_on_both_sides_of_the_root(monkeypatch):
             starts.clear()
             sol = nonfeedback_capacity(spec, power)
             nu = sol.water_level
-            # the start is the sampled level, capped at nu0 = mean S + P
-            assert len(starts) == 1
-            nu_hat = min(starts[0], mean + power)
-            sides.add(nu_hat > nu)
+            if q == 1:
+                assert starts == []
+            else:
+                # the start is the sampled level, capped at nu0 = mean S + P
+                assert len(starts) == 1
+                nu_hat = min(starts[0], mean + power)
+                sides.add(nu_hat > nu)
             assert nu == pytest.approx(oracle.level(power), rel=1e-12, abs=0)
             assert sol.power_residual <= 1e-10 * max(1.0, power)
             assert sol.band_crossings
@@ -629,29 +670,73 @@ def test_level_property(spec, log_power):
             assert nu == nu0
 
 
-def paper_level_reference(power):
-    """The paper channel's level at a power that fills a band of
-    half-width u about pi: F = (2 / pi)(sin u - u cos u), by brentq in u,
-    where sin u - u cos u = sum_n (-1)^(n+1) 2n u^(2n+1) / (2n+1)! is
-    summed as a series below u = 1 to keep its digits; nu = 4 sin^2(u/2)."""
+def ma1_level_reference(taps, sigma2, power):
+    """The level of MA(1) taps (b0, b1) at a power that fills an arc of
+    half-width u about the minimum of S = m + 2a sin^2(u/2), with
+    m = sigma2 (|b0| - |b1|)^2 and a = 2 sigma2 |b0 b1|:
+    F = (a / pi)(sin u - u cos u), by brentq in u, where
+    sin u - u cos u = sum_n (-1)^(n+1) 2n u^(2n+1) / (2n+1)! is summed as
+    a series below u = 1 to keep its digits; nu = m + 2a sin^2(u/2)."""
+    b0, b1 = map(abs, taps)
+    a = 2.0 * sigma2 * b0 * b1
+
     def filled(u):
         if u >= 1.0:
-            return 2.0 / PI * (math.sin(u) - u * math.cos(u))
-        return 2.0 / PI * sum((-1) ** (n + 1) * 2 * n * u ** (2 * n + 1)
-                              / math.factorial(2 * n + 1)
-                              for n in range(1, 12))
+            return a / PI * (math.sin(u) - u * math.cos(u))
+        return a / PI * sum((-1) ** (n + 1) * 2 * n * u ** (2 * n + 1)
+                            / math.factorial(2 * n + 1)
+                            for n in range(1, 12))
 
     u = brentq(lambda u: filled(u) - power, 0.0, PI, xtol=1e-300,
                rtol=4 * EPS, maxiter=200)
-    return 4.0 * math.sin(0.5 * u) ** 2
+    return sigma2 * (b0 - b1) ** 2 + 2.0 * a * math.sin(0.5 * u) ** 2
 
 
 @pytest.mark.parametrize("power", [1e-12, 1e-8, 1e-4])
 def test_paper_channel_level_at_tiny_power(power):
-    """A narrow band about the zero at pi: the level is determined only to
-    a few ulps of nu + max S, so it is held to 4 eps (nu + 4)."""
+    """A narrow band about the zero at pi, whose width the scalar solve
+    keeps to a few ulps: the level is held to 8 eps nu."""
     nu = water_level(PAPER_CHANNEL, power)
-    assert abs(nu - paper_level_reference(power)) <= 4 * EPS * (nu + 4.0)
+    assert abs(nu - ma1_level_reference((1.0, 1.0), 1.0, power)) \
+        <= 8 * EPS * nu
+
+
+def test_ma1_width_budget(monkeypatch):
+    """The band width of the paper channel at 400 powers from 1e-6 up to
+    P = a = 2, where the band fills, takes at most 6 evaluations of
+    g = sin phi - phi cos phi, and 4 at the median: the scalar Newton
+    solve starts from the leading term at either end of [0, pi] and is
+    solved in pi - phi above g = 1, where g' = phi sin phi -> 0."""
+    calls = counted_calls(monkeypatch, waterfill, "_sin_minus_x_cos")
+    counts = []
+    for power in np.logspace(-6, math.log10(2.0), 401)[:-1]:
+        calls.clear()
+        sol = nonfeedback_capacity(PAPER_CHANNEL, float(power))
+        assert len(sol.band_crossings) == 1
+        counts.append(len(calls))
+    assert max(counts) <= 6
+    assert np.median(counts) <= 4
+
+
+@pytest.mark.parametrize("taps, sigma2, power", [
+    ((1.0, -0.9433), 1.0, 0.00116),
+    ((1.0, 0.5), 2.0, 1e-6),
+    ((1.0, 0.5), 2.0, 0.3),
+    ((0.5, 1.0), 1.0, 1e-4),
+    ((0.5, 1.0), 1.0, 0.3),
+    ((1.0, -2.0), 0.5, 1e-5),
+    ((1.0, -2.0), 1.0, 0.5),
+    ((1.0, 1.0), 1.0, 2.0 * (1.0 - 1e-9)),
+    ((1.0, 0.5), 2.0, 2.0 * (1.0 - 1e-9)),
+    ((0.5, 1.0), 1.0, 1.0 - 1e-9),
+    ((1.0, -2.0), 1.0, 4.0 * (1.0 - 1e-9)),
+])
+def test_ma1_level_against_reference(taps, sigma2, power):
+    """MA(1) levels at beta != 1, on non-minimum-phase taps, and next to
+    P = a, where the band all but fills and g' = phi sin phi -> 0, meet
+    the reference to 8 eps nu."""
+    nu = water_level(PsdSpec.ma(taps, sigma2), power)
+    assert abs(nu - ma1_level_reference(taps, sigma2, power)) <= 8 * EPS * nu
 
 
 def test_paper_channel_at_high_power_is_exact():
@@ -836,3 +921,76 @@ def test_jensen_keeps_a_trailing_tap_above_rounding():
     its roots (6.87e-10) honestly exceeds the default tolerance."""
     with pytest.raises(ConvergenceError, match="capacity error bound"):
         nonfeedback_capacity(PsdSpec.ma((1.0, 0.0, 1.0, 1e-14)), 1.0)
+
+
+# ---- MA(1) in closed form: the dilogarithm, and the capacity as a property
+
+def li2_points():
+    """(w, 1 - w) pairs over the closed unit disk: uniform in area, on the
+    unit circle, at r e^{i phi} with r -> 1 and tiny phi, where 1 - w is
+    formed as (1 - r) + 2r sin^2(phi/2) - i r sin phi to keep its digits,
+    and at 0, +-1/2, +-1, +-i."""
+    rng = np.random.default_rng(1313)
+    r = np.sqrt(rng.uniform(0.0, 1.0, 10000))
+    w = r * np.exp(1j * rng.uniform(-PI, PI, 10000))
+    w = np.concatenate((w, np.exp(1j * np.linspace(-PI, PI, 4001)),
+                        [0.0, 0.5, -0.5, 1.0, -1.0, 1j, -1j]))
+    pairs = [(complex(z), 1.0 - complex(z)) for z in w]
+    phis = np.concatenate((np.logspace(-12, 0.49, 500),
+                           -np.logspace(-12, 0.49, 100)))
+    for r in (1.0, 1.0 - 1e-16, 1.0 - 1e-12, 1.0 - 1e-8, 1.0 - 1e-4, 0.99,
+              0.9, 0.6, 0.5, 0.3):
+        pairs += [(complex(r * math.cos(p), r * math.sin(p)),
+                   complex((1.0 - r) + 2.0 * r * math.sin(0.5 * p) ** 2,
+                           -r * math.sin(p))) for p in phis]
+    return pairs
+
+
+def test_li2_against_scipy_spence():
+    """Li2(w) = spence(1 - w), scipy's dilogarithm, to 1e-14 over the
+    closed unit disk, and the exact values Li2(1) = pi^2/6,
+    Li2(-1) = -pi^2/12, Li2(1/2) = pi^2/12 - ln^2(2)/2 and
+    Im Li2(i) = Catalan's constant to a few ulps."""
+    pairs = li2_points()
+    assert len(pairs) >= 20000
+    got = np.array([waterfill._li2(w, v) for w, v in pairs])
+    ref = spence(np.array([v for _, v in pairs]))
+    assert np.max(np.abs(got - ref)) <= 1e-14
+    li2 = waterfill._li2
+    assert li2(1 + 0j, 0j) == pytest.approx(PI ** 2 / 6, rel=2 * EPS)
+    assert li2(-1 + 0j, 2 + 0j) == pytest.approx(-PI ** 2 / 12, rel=2 * EPS)
+    assert li2(0.5 + 0j, 0.5 + 0j) == pytest.approx(
+        PI ** 2 / 12 - math.log(2.0) ** 2 / 2, rel=4 * EPS)
+    assert li2(1j, 1 - 1j).imag == pytest.approx(0.915965594177219015,
+                                                 rel=2 * EPS)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(taps=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       sigma2=st.floats(0.1, 10.0), log_power=st.floats(-3.0, 3.0))
+def test_ma1_capacity_property(taps, sigma2, log_power):
+    """The closed-form MA(1) capacity meets scipy's quad on the oracle's
+    own level to 1e-10, the power check holds to 1e-10 max(1, P), and each
+    crossing has |S(theta) - nu| <= 1e-12 max(nu, max S).  A zero tap
+    leaves S = sigma2 b^2 flat, with C = 0.5 log2(1 + P / S).  Taps whose
+    ratio is below 1e-6, or below 1e-3 in size, are left out: S is flat in
+    floating point there, or underflows, and every grid node would be a
+    turn of the oracle's."""
+    small, large = sorted(map(abs, taps))
+    assume(large >= 1e-3 and (small == 0.0 or small >= 1e-6 * large))
+    spec, power = PsdSpec.ma(taps, sigma2), 10.0 ** log_power
+    sol = nonfeedback_capacity(spec, power)
+    if small == 0.0:
+        flat = sigma2 * large ** 2
+        assert sol.capacity_bits == pytest.approx(
+            0.5 * math.log2(1.0 + power / flat), abs=1e-10)
+        assert sol.power_residual <= 1e-10 * max(1.0, power)
+        return
+    oracle = Oracle(spec)
+    assert sol.capacity_bits == pytest.approx(
+        oracle.capacity(oracle.level(power)), abs=1e-10)
+    assert sol.power_residual <= 1e-10 * max(1.0, power)
+    s, smax = direct_psd(spec), float(oracle.vals.max())
+    for theta in sol.band_crossings:
+        assert abs(s(theta) - sol.water_level) <= 1e-12 * max(
+            sol.water_level, smax)
