@@ -1,9 +1,13 @@
 """Capacity and feedback-rate toolbox for stationary additive Gaussian
 noise channels: water-filling, linear feedback coding rates, and
-feedback-capacity upper bound families."""
+feedback-capacity upper bound families.
+
+The simulator's names are resolved on first use, so that importing gfcap
+does not import numpy."""
 
 from .spectrum import (
     PAPER_CHANNEL,
+    ConditioningError,
     ConvergenceError,
     PsdSpec,
     QuadratureConfig,
@@ -27,16 +31,27 @@ from .feedback import (
     sk_rate_threshold,
     sk_root,
 )
-from .simulator import (
-    ConditioningError,
-    MonteCarloReport,
-    SchemeConfig,
-    VarianceTrace,
-    brute_force_conditioning,
-    simulate_transmission,
-    trace_to_csv,
-    variance_recursion,
-)
+
+# exported by gfcap.simulator, which imports numpy
+_SIMULATOR_EXPORTS = {
+    "MonteCarloReport",
+    "SchemeConfig",
+    "VarianceTrace",
+    "brute_force_conditioning",
+    "simulate_transmission",
+    "trace_to_csv",
+    "variance_recursion",
+}
+
+
+def __getattr__(name):
+    if name not in _SIMULATOR_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import simulator
+
+    value = globals()[name] = getattr(simulator, name)
+    return value
+
 
 __all__ = [
     "PAPER_CHANNEL",

@@ -17,9 +17,8 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from .feedback import (
+    _linspace,
     chen_yanagi_curve,
     conjecture_check,
     conjecture_margin,
@@ -28,14 +27,8 @@ from .feedback import (
     sandwich_failures,
     sk_root,
 )
-from .simulator import (
-    ConditioningError,
-    SchemeConfig,
-    simulate_transmission,
-    trace_to_csv,
-    variance_recursion,
-)
 from .spectrum import (
+    ConditioningError,
     ConvergenceError,
     QuadratureConfig,
     load_psd,
@@ -67,12 +60,9 @@ def _plain(value):
         return {k: _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
+    if getattr(value, "ndim", None) == 0 and hasattr(value, "item"):
+        # a numpy scalar, converted without importing numpy
+        return value.item()
     return value
 
 
@@ -158,7 +148,7 @@ def _parse_sweep(text):
     lo, hi = float(lo_text), float(hi_text)
     if not 0 < lo < hi < math.inf or steps < 2:
         raise ValueError(f"bad power sweep {text!r}")
-    return np.linspace(lo, hi, steps)
+    return _linspace(lo, hi, steps)
 
 
 def cmd_counterexample(args):
@@ -195,6 +185,15 @@ def cmd_counterexample(args):
 
 
 def cmd_simulate(args):
+    import numpy as np
+
+    from .simulator import (
+        SchemeConfig,
+        simulate_transmission,
+        trace_to_csv,
+        variance_recursion,
+    )
+
     psd = load_psd(args.psd)
     probe = SchemeConfig(power=args.power, horizon=args.horizon,
                          rate_bits=1.0, seed=args.seed)

@@ -11,9 +11,8 @@ rates are in bits per channel use.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .spectrum import (
     PAPER_CHANNEL,
@@ -23,7 +22,7 @@ from .spectrum import (
 )
 from .waterfill import nonfeedback_capacity
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # width of the alpha bracket at which the golden section stops
 _ALPHA_TOL = 1e-6
@@ -122,13 +121,35 @@ def chen_yanagi_bound(psd: PsdSpec, power: float, alpha: float,
     return (1.0 + 1.0 / alpha) * c, c + 0.5 * math.log2(1.0 + 1.0 / alpha)
 
 
+def _linspace(start, stop, num):
+    """num floats evenly spaced from start to stop, as a list, by the
+    arithmetic of numpy's linspace: i * step + start, with stop itself as
+    the last point."""
+    delta, div = stop - start, num - 1
+    if div <= 0:
+        points = [0.0 * delta + start] * num
+    elif delta / div == 0.0:
+        # the step underflows to 0: scale by delta last, as numpy does
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        step = delta / div
+        points = [i * step + start for i in range(num)]
+    if num > 1:
+        points[-1] = stop
+    return points
+
+
 def default_alpha_grid(n_points=50, lo=0.1, hi=10.0):
-    """n_points alphas, log-spaced from lo to hi."""
+    """n_points alphas, log-spaced from lo to hi, as a tuple of floats:
+    10 ** y over _linspace(log10 lo, log10 hi, n_points).  Each point is
+    within an ulp of numpy's logspace, whose vectorised power can differ
+    from 10.0 ** y in the last bit."""
     if not n_points >= 1:
         raise ValueError("alpha grid needs at least one point")
     if not (0 < lo < math.inf and 0 < hi < math.inf):
         raise ValueError("alpha range ends must be positive and finite")
-    return np.logspace(np.log10(lo), np.log10(hi), n_points)
+    return tuple(10.0 ** y for y in _linspace(math.log10(lo), math.log10(hi),
+                                              n_points))
 
 
 def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
@@ -149,7 +170,7 @@ def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
         return min(chen_yanagi_bound(psd, power, a, config))
 
     scan = sorted((a, min(b1, b2)) for a, b1, b2 in curve)
-    i = int(np.argmin([v for _, v in scan]))
+    i = min(range(len(scan)), key=lambda j: scan[j][1])
     best_a, best_v = scan[i]
     if len(scan) == 1:
         return curve, best_a, best_v

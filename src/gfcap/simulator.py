@@ -26,14 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import PsdSpec, UnsupportedFormError
+from .spectrum import ConditioningError, PsdSpec, UnsupportedFormError
 
 MESSAGE_PRIOR_VARIANCE = 1.0 / 12.0  # uniform message point on [0, 1]
 MC_BLOCK = 1024  # Monte Carlo trials per keyed random stream
-
-
-class ConditioningError(RuntimeError):
-    """Raised when a conditioning step loses positive definiteness."""
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ and spec-file I/O.
 
 A PSD can be given as a moving-average filter (coefficients plus innovation
 variance), as uniform samples on [0, pi] extended by even symmetry, or as a
-flat white level.
+flat white level.  Nothing here imports numpy until an array is evaluated.
 """
 
 from __future__ import annotations
@@ -12,14 +12,17 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class ConvergenceError(RuntimeError):
     """Raised when a result cannot be certified to its stated tolerance:
     the water-level Newton solve does not converge, the Jensen error bound
     or the quadrature levels miss the tolerance, or the tolerance lies
     below the roundoff floor of the numbers it is held to."""
+
+
+class ConditioningError(RuntimeError):
+    """Raised when a conditioning step of the feedback scheme loses
+    positive definiteness."""
 
 
 class UnsupportedFormError(ValueError):
@@ -98,7 +101,40 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 
 
 def psd_eval(spec: PsdSpec, theta):
-    """Evaluate the PSD at theta (scalar or array), theta in [-pi, pi]."""
+    """Evaluate the PSD at theta in [-pi, pi].  A float gives a float and a
+    tuple a tuple of floats; anything else is taken as an array and gives
+    an array.  Floats and tuples of white and MA spectra are evaluated in
+    plain Python, by the same Horner pass in z as arrays; numpy is
+    imported only for arrays and samples spectra."""
+    if isinstance(theta, (int, float)):
+        return _eval_points(spec, (theta,))[0]
+    if isinstance(theta, tuple):
+        return _eval_points(spec, theta)
+    return _eval_array(spec, theta)
+
+
+def _eval_points(spec: PsdSpec, points):
+    """psd_eval over a tuple of angles, as a tuple of floats."""
+    if any(abs(t) > math.pi + 1e-12 for t in points):
+        raise ValueError("theta outside [-pi, pi]")
+    if spec.form == "white":
+        return (spec.level,) * len(points)
+    if spec.form == "samples":
+        return tuple(_eval_array(spec, points).tolist())
+    out = []
+    for t in points:
+        z = complex(math.cos(t), math.sin(t))
+        acc = complex(spec.coeffs[-1])
+        for bk in reversed(spec.coeffs[:-1]):
+            acc = acc * z + bk
+        r = abs(acc)
+        out.append(spec.sigma2 * (r * r))
+    return tuple(out)
+
+
+def _eval_array(spec: PsdSpec, theta):
+    import numpy as np
+
     th = np.asarray(theta, dtype=float)
     if np.any(np.abs(th) > math.pi + 1e-12):
         raise ValueError("theta outside [-pi, pi]")

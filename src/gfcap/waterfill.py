@@ -58,17 +58,20 @@ by the dilogarithm Li2; at r = 1, Im Li2(e^{i phi}) is Clausen's function.
 The power check stays apart from the solve: the 16-point Gauss-Legendre
 rule on nu - S over the filled arc, exact to rounding for a cosine series
 of degree 1, or the 2-midpoint rule on a full band.
+
+This module solves white noise and MA(1) in plain Python, with tuples for
+the breakpoints and flags, and does not import numpy.  Every other
+spectrum goes to its array half, _waterfill_arrays, imported on first
+use: the full-band test on those forms, the crossings and their polish,
+the sampled start, the Newton loop, Jensen's formula and the quadrature.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
-
-import numpy as np
-from numpy.polynomial import chebyshev
 
 from .spectrum import (
     DEFAULT_QUADRATURE,
@@ -78,22 +81,23 @@ from .spectrum import (
     psd_eval,
 )
 
-_EPS = np.finfo(float).eps
+_EPS = sys.float_info.epsilon
 _LN2 = math.log(2.0)
-_NEWTON_MAX_ITER = 100
-_MAX_LEVELS = 8
-# Gauss-Legendre panels on [0, pi] at the first quadrature level
-_PANELS = 32
-# 16-point Gauss-Legendre rule on [-1, 1]
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-# Chebyshev roots farther than this from the real interval [-1, 1] cannot be
-# crossings.  Extra candidates are harmless (each band is decided by the
-# sign of S - nu at its midpoint), so the window is generous.
-_ROOT_WINDOW = 1e-6
-# The Newton solve of a partial MA band starts from the discrete water level
-# of S at this many midpoints of [0, pi]
-_START_SAMPLES = 64
-_START_THETA = (np.arange(_START_SAMPLES) + 0.5) * (math.pi / _START_SAMPLES)
+# 16-point Gauss-Legendre rule on [-1, 1], numpy's leggauss(16)
+_GL_NODES = (
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318,
+    -0.755404408355003, -0.6178762444026438, -0.45801677765722737,
+    -0.2816035507792589, -0.09501250983763744, 0.09501250983763744,
+    0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326,
+    0.9894009349916499)
+_GL_WEIGHTS = (
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926,
+    0.12462897125553407, 0.1495959888165767, 0.16915651939500265,
+    0.18260341504492364, 0.18945061045506864, 0.18945061045506864,
+    0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
+    0.027152459411754176)
 # Cap on the iterations of the MA(1) band-width solve, which took at most 8
 # over 200,000 drawn widths
 _WIDTH_MAX_ITER = 50
@@ -121,131 +125,14 @@ class WaterfillSolution:
     band_crossings: tuple = ()
 
 
-def _cosine_series(spec: PsdSpec):
-    """c with S(theta) = sum_k c[k] cos(k theta) = sum_k c[k] T_k(cos theta),
-    from the autocorrelation of the MA taps."""
-    b = np.asarray(spec.coeffs)
-    c = 2.0 * spec.sigma2 * np.correlate(b, b, mode="full")[len(b) - 1:]
-    c[0] *= 0.5
-    return c
-
-
-def _ma_crossings(c, nu):
-    """Angles in [0, pi] where S(theta) = sum_k c[k] cos(k theta) = nu:
-    the real roots in [-1, 1] of the Chebyshev series c - nu, mapped to
-    theta by arccos, which loses digits next to 0 and pi."""
-    p = c.copy()
-    p[0] -= nu
-    x = chebyshev.chebroots(p)
-    x = np.clip(x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
-                       & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)], -1.0, 1.0)
-    return np.arccos(x)
-
-
-def _polish_crossings(c, nu, theta):
-    """The crossings theta of S = nu polished by two Newton steps in theta
-    itself, where a crossing near 0 or pi keeps the digits that arccos
-    loses.  A step is kept only where it lowers |S - nu|."""
-    gap0 = c[0] - nu
-    k = np.arange(1, len(c))
-    kc = k * c[1:]
-
-    def gap_and_slope(theta):
-        arg = np.outer(theta, k)
-        return gap0 + np.cos(arg) @ c[1:], -(np.sin(arg) @ kc)
-
-    gap, slope = gap_and_slope(theta)
-    for _ in range(2):
-        # a zero slope gives a step to 0 or pi, or nan, and nan is never kept
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(theta - gap / slope, 0.0, math.pi)
-            step_gap, step_slope = gap_and_slope(step)
-        better = np.abs(step_gap) < np.abs(gap)
-        theta = np.where(better, step, theta)
-        gap = np.where(better, step_gap, gap)
-        slope = np.where(better, step_slope, slope)
-    return theta
-
-
-def _sampled_level(s, power):
-    """The level of the discrete water-filling mean((nu - s_i)^+) = P over
-    the samples s: with the m smallest samples filled the level is
-    (n P + their sum) / m, and the first such level that does not exceed
-    the next sample fills exactly those m."""
-    s = np.sort(s)
-    levels = (len(s) * power + np.cumsum(s)) / np.arange(1, len(s) + 1)
-    fits = np.flatnonzero(levels[:-1] <= s[1:])
-    return float(levels[fits[0] if len(fits) else -1])
-
-
-def _ma_pieces(c):
-    """(split, pieces) for an MA spectrum with cosine series c.
-    split(nu, theta) sorts 0, pi and the crossings theta into the edges of
-    pieces and flags each piece filled by the sign of nu - S at its
-    midpoint, so a tangent or spurious root cannot flip a band;
-    pieces(nu) -> (edges, filled, areas) adds the area of nu - S on each
-    piece, in closed form."""
-    k = np.arange(1, len(c))
-    weights = 2.0 * c[1:] / k
-    # a trailing term below eps sum |c_k| is lost in S's rounding, but as the
-    # leading coefficient its reciprocal scales the crossings' companion
-    # matrix and loses them (from a tap ratio of about 1e-26), so it is dropped
-    kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
-    series = c[:kept[-1] + 1]
-
-    def split(nu, theta):
-        edges = np.unique(np.concatenate(([0.0, math.pi], theta)))
-        cos_mid = np.cos(np.outer(0.5 * (edges[:-1] + edges[1:]), k))
-        return edges, c[0] + cos_mid @ c[1:] < nu, cos_mid
-
-    def pieces(nu):
-        edges, filled, cos_mid = split(nu, _ma_crossings(series, nu))
-        half = 0.5 * np.diff(edges)
-        # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
-        # differenced over each piece as 2 cos(k mid) sin(k half) so that a
-        # narrow band does not lose its digits to cancellation
-        areas = (2.0 * (nu - c[0]) * half
-                 - (cos_mid * np.sin(np.outer(half, k))) @ weights)
-        return edges, filled, areas
-
-    return split, pieces
-
-
-def _samples_pieces(values):
-    """pieces(nu) -> (edges, filled, areas) for a samples spectrum: the
-    nodes and the crossings between them, the sign of nu - S on each piece
-    and its area.  The nodes stay edges even when the band fills, since
-    the filled log integral reads S as linear between consecutive edges."""
-    values = np.asarray(values)
-    nodes = np.linspace(0.0, math.pi, len(values))
-    a, b = values[:-1], values[1:]
-    lo, hi, step = np.minimum(a, b), np.maximum(a, b), np.diff(nodes)
-
-    def pieces(nu):
-        straddle = (lo < nu) & (nu < hi)
-        frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
-        cross = nodes[:-1][straddle] + frac * step[straddle]
-        edges = np.unique(np.concatenate((nodes, cross)))
-        s = np.interp(edges, nodes, values)
-        # S is linear on each piece: its midpoint value is the mean of the
-        # ends, and the trapezoid rule is exact
-        gap = nu - 0.5 * (s[:-1] + s[1:])
-        return edges, gap > 0.0, np.diff(edges) * gap
-
-    return pieces
-
-
 def _mean_and_bound(spec: PsdSpec):
-    """mean(S), and a bound on max S that also bounds the terms summed
-    into F(nu): sigma2 * (sum |b_k|)^2 >= c0 + sum |c_k| for MA forms."""
+    """mean(S) of a white or MA(1) spectrum, and sigma2 (|b0| + |b1|)^2 =
+    max S, which nu0 = mean S + P reaches when the band fills."""
     if spec.form == "white":
         return spec.level, spec.level
-    if spec.form == "ma":
-        b = np.asarray(spec.coeffs)
-        return (spec.sigma2 * float(b @ b),
-                spec.sigma2 * float(np.abs(b).sum()) ** 2)
-    v = np.asarray(spec.values)
-    return float((v.sum() - 0.5 * (v[0] + v[-1])) / (len(v) - 1)), float(v.max())
+    b0, b1 = spec.coeffs
+    return (spec.sigma2 * (b0 * b0 + b1 * b1),
+            spec.sigma2 * (abs(b0) + abs(b1)) ** 2)
 
 
 def _sin_minus_x_cos(x):
@@ -306,73 +193,35 @@ def _ma1_level(spec: PsdSpec, power: float, nu0: float):
     b0, b1 = spec.coeffs
     a = 2.0 * spec.sigma2 * abs(b0 * b1)
     if power >= a:
-        return nu0, np.array([0.0, math.pi]), np.array([True])
+        return nu0, (0.0, math.pi), (True,)
     phi = _ma1_width(math.pi * power / a, math.pi * ((a - power) / a))
     nu = (spec.sigma2 * (abs(b0) - abs(b1)) ** 2
           + 2.0 * a * math.sin(0.5 * phi) ** 2)
     if b0 * b1 > 0.0:
-        return (nu, np.array([0.0, math.pi - phi, math.pi]),
-                np.array([False, True]))
-    return nu, np.array([0.0, phi, math.pi]), np.array([True, False])
+        return nu, (0.0, math.pi - phi, math.pi), (False, True)
+    return nu, (0.0, phi, math.pi), (True, False)
+
+
+def _is_ma1(spec: PsdSpec):
+    return spec.form == "ma" and len(spec.coeffs) == 2
 
 
 def _solve_level(spec: PsdSpec, power: float):
     """The water level nu, with the breakpoints and filled flags of its
-    pieces: a full band's nu0 first, then MA(1) in closed form, else Newton
-    on the convex F from a start at or above the root, as the module
-    docstring sets out.
-
-    The terms summed into F are bounded by nu + bound, where bound is max S
-    for samples and, for MA, sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|.  So
-    the rounding error of F is a few ulps of (nu + bound) times F', and its
-    root is only determined to a few ulps of nu + bound: the solve stops
-    once the step falls to that, or once the computed excess F(nu) - P is
-    no longer positive.  An unconverged nu is never returned.
-    """
+    pieces: for white noise and MA(1), a full band's nu0 first, then MA(1)
+    in closed form, as tuples; any other spectrum goes to the array half,
+    _waterfill_arrays, with Newton's method as the module docstring sets
+    out.  An unconverged nu is never returned."""
     if not 0 < power < math.inf:
         raise ValueError("power budget must be positive and finite")
+    if spec.form != "white" and not _is_ma1(spec):
+        from . import _waterfill_arrays
+        return _waterfill_arrays._solve_level(spec, power)
     mean, bound = _mean_and_bound(spec)
-    nu0 = nu = mean + power
-    if spec.form != "samples" and nu0 >= bound:
-        return nu0, np.array([0.0, math.pi]), np.array([True])
-    if spec.form == "ma" and len(spec.coeffs) == 2:
-        return _ma1_level(spec, power, nu0)
-    if spec.form == "ma":
-        c = _cosine_series(spec)
-        split, pieces = _ma_pieces(c)
-        s = c[0] + np.cos(np.outer(_START_THETA, np.arange(1, len(c)))) @ c[1:]
-        nu = min(_sampled_level(s, power), nu0)
-    else:
-        pieces = _samples_pieces(spec.values)
-
-    def terms(nu):
-        edges, filled, areas = pieces(nu)
-        return (float(np.sum(areas[filled])) / math.pi,
-                float(np.sum(np.diff(edges)[filled])) / math.pi,
-                edges, filled)
-
-    filled_power, slope, edges, filled = terms(nu)
-    if nu < nu0 and filled_power < power:
-        # below the root: the tangent there meets P at or above it
-        nu = min(nu + (power - filled_power) / slope, nu0) \
-            if slope > 0.0 else nu0
-        filled_power, slope, edges, filled = terms(nu)
-    for _ in range(_NEWTON_MAX_ITER):
-        excess = filled_power - power
-        if excess <= 0.0:
-            break
-        step = excess / slope
-        if step <= 4.0 * _EPS * (nu + bound):
-            break
-        nu -= step
-        filled_power, slope, edges, filled = terms(nu)
-    else:
-        raise ConvergenceError(
-            f"water-level Newton solve did not converge in "
-            f"{_NEWTON_MAX_ITER} iterations (last level {nu!r})")
-    if spec.form == "ma" and len(edges) > 2:
-        edges, filled, _ = split(nu, _polish_crossings(c, nu, edges[1:-1]))
-    return nu, edges, filled
+    nu0 = mean + power
+    if nu0 >= bound:
+        return nu0, (0.0, math.pi), (True,)
+    return _ma1_level(spec, power, nu0)
 
 
 def water_level(psd: PsdSpec, power: float) -> float:
@@ -388,60 +237,11 @@ def _reject_vanishing(spec: PsdSpec):
     elif spec.form == "ma":
         vanishes = not any(spec.coeffs)
     else:
-        v = np.asarray(spec.values)
-        vanishes = bool(np.any((v[:-1] == 0.0) & (v[1:] == 0.0)))
+        v = spec.values
+        vanishes = any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:]))
     if vanishes:
         raise ValueError("the noise spectrum vanishes on a band, so the "
                          "capacity is infinite")
-
-
-@lru_cache(maxsize=256)
-def _jensen_mean_log(spec: PsdSpec, tol: float):
-    """mean ln S over [-pi, pi] by Jensen's formula,
-    ln sigma2 + 2 ln|b_lead| + 2 sum_k ln max(1, |z_k|) over the roots z_k
-    of B.  Cached per spectrum: bound curves and power sweeps solve one
-    spectrum at many powers.
-
-    A computed root z is within dz = (|B(z)| + rounding of B(z)) / |B'(z)|
-    of a true one, to first order.  Only a root within dz of the unit
-    circle may lie on the other side of it and so move the sum, by at most
-    dz; the sum of those dz, in bits, must not exceed tol.
-
-    The roots are the eigenvalues of B's companion matrix (MA(1) has the
-    one root -b0 / b1), and one Horner pass gives B(z), B'(z) and
-    sum_j |b_j| |z|^j, the scale of the rounding of B(z).
-
-    Trailing taps up to eps sum |b_k| are dropped first: as the leading
-    coefficient, such a tap's reciprocal scales the companion matrix and
-    spoils the roots on the unit circle.  The scale still runs over every
-    tap, so the dropped tail, below B's rounding, is counted as rounding.
-    """
-    taps = np.asarray(spec.coeffs)
-    # _reject_vanishing has left a nonzero tap, and so one that is kept
-    kept = np.flatnonzero(np.abs(taps) > _EPS * np.abs(taps).sum())
-    b = taps[:kept[-1] + 1]
-    if len(b) <= 2:
-        z = -b[:-1] / b[-1]
-    else:
-        companion = np.eye(len(b) - 1, k=-1)
-        companion[0] = -b[-2::-1] / b[-1]
-        z = np.linalg.eigvals(companion)
-    r = np.abs(z)
-    value, slope, scale = np.zeros_like(z), np.zeros_like(z), np.zeros_like(r)
-    for bj in b[::-1]:
-        slope = slope * z + value
-        value = value * z + bj
-    for bj in taps[::-1]:
-        scale = scale * r + abs(bj)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dz = (np.abs(value) + 2 * len(taps) * _EPS * scale) / np.abs(slope)
-    bound = float(np.sum(dz[np.abs(r - 1.0) <= dz])) / _LN2
-    if not bound <= tol:
-        raise ConvergenceError(
-            f"capacity error bound {bound:.2e} from spectral zeros on or "
-            f"near the unit circle exceeds tolerance {tol:g}")
-    return (math.log(spec.sigma2) + 2.0 * math.log(abs(b[-1]))
-            + 2.0 * float(np.sum(np.log(np.maximum(r, 1.0)))))
 
 
 def _li2(w, v):
@@ -479,82 +279,27 @@ def _ma1_capacity(psd: PsdSpec, nu, edges, filled):
     and over a filled arc u < phi,
     int ln |1 - r e^{iu}|^2 du = -2 Im Li2(r e^{i phi}), whence
     C = (phi ln(nu / (sigma2 b_max^2)) + 2 Im Li2(r e^{i phi})) / (2 pi ln 2).
-    The power check of a full band is _full_band_power; over a filled arc
-    it is the 16-point Gauss-Legendre rule on nu - S, one psd_eval, exact
-    to rounding for a cosine series of degree 1 (error below 1e-38 |c1|)."""
+    The power check is one psd_eval: on a full band nu - mean S from the
+    midpoints pi/4 and 3 pi/4, a rule exact for a cosine series of degree
+    1, and over a filled arc the 16-point Gauss-Legendre rule on nu - S,
+    exact to rounding there (error below 1e-38 |c1|)."""
     small, large = sorted(map(abs, psd.coeffs))
     log_scale = math.log(psd.sigma2) + 2.0 * math.log(large)
-    if filled.all():
+    if all(filled):
+        s = psd_eval(psd, (0.25 * math.pi, 0.75 * math.pi))
         return (0.5 * (math.log(nu) - log_scale) / _LN2,
-                _full_band_power(psd, nu))
+                nu - 0.5 * (s[0] + s[1]))
     i = 0 if filled[0] else 1
-    half = 0.5 * float(edges[i + 1] - edges[i])
+    half = 0.5 * (edges[i + 1] - edges[i])
     phi, r = 2.0 * half, small / large
     w = complex(r * math.cos(phi), r * math.sin(phi))
     v = complex((1.0 - r) + 2.0 * r * math.sin(half) ** 2, -r * math.sin(phi))
     capacity = ((phi * (math.log(nu) - log_scale) + 2.0 * _li2(w, v).imag)
                 / (2.0 * math.pi * _LN2))
-    s = psd_eval(psd, edges[i] + half + half * _GL_NODES)
-    return capacity, half * float(_GL_WEIGHTS @ (nu - s)) / math.pi
-
-
-def _full_band_power(psd: PsdSpec, nu):
-    """F(nu) = nu - mean S on a full band, with mean S from psd_eval at m
-    midpoints (j + 1/2) pi / m, a rule exact for S: for MA, m = len(b) and
-    sum_j cos(k theta_j) = 0 for 0 < k < 2m; for samples, m cells between
-    the nodes, on each of which S is linear."""
-    m = len(psd.coeffs) if psd.form == "ma" else len(psd.values) - 1
-    theta = (np.arange(m) + 0.5) * (math.pi / m)
-    return nu - float(np.mean(psd_eval(psd, theta)))
-
-
-def _filled_log_samples(spec: PsdSpec, edges, filled):
-    """int_F ln S for a samples spectrum: on a piece where S runs linearly
-    from a to b, the mean of ln S is ln m + g(t), with m = (a + b) / 2,
-    t = (b - a) / (a + b) and
-    g(t) = ((1+t) ln(1+t) - (1-t) ln(1-t)) / (2t) - 1, where 0 ln 0 = 0.
-    g is replaced by its series -t^2/6 - t^4/20 near t = 0, where the
-    quotient cancels."""
-    nodes = np.linspace(0.0, math.pi, len(spec.values))
-    s = np.interp(edges, nodes, np.asarray(spec.values))
-    a, b = s[:-1][filled], s[1:][filled]
-    m, t = 0.5 * (a + b), (b - a) / (a + b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        up = np.where(t > -1.0, (1.0 + t) * np.log1p(t), 0.0)
-        down = np.where(t < 1.0, (1.0 - t) * np.log1p(-t), 0.0)
-        g = np.where(np.abs(t) < 1e-4, -t * t * (1.0 / 6.0 + t * t / 20.0),
-                     (up - down) / (2.0 * t) - 1.0)
-    return float(np.diff(edges)[filled] @ (np.log(m) + g))
-
-
-def _band_integrals(psd: PsdSpec, nu, edges, filled, panel_counts):
-    """For each n in panel_counts, (int_U ln S, int_F (nu - S)) / pi by
-    16-point Gauss-Legendre on the panels of [0, pi] cut at n uniform steps
-    and at every edge, all from one psd_eval."""
-    grids = [np.unique(np.concatenate((np.linspace(0.0, math.pi, n + 1),
-                                       edges)))
-             for n in panel_counts]
-    mid = np.concatenate([0.5 * (g[:-1] + g[1:]) for g in grids])
-    half = np.concatenate([0.5 * np.diff(g) for g in grids])
-    in_f = filled[np.searchsorted(edges, mid) - 1]
-    s = psd_eval(psd, mid[:, None] + half[:, None] * _GL_NODES)
-    w = half[:, None] * _GL_WEIGHTS
-    ends = np.cumsum([0] + [len(g) - 1 for g in grids])
-    out = []
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        wl, sl, fl = w[lo:hi], s[lo:hi], in_f[lo:hi]
-        out.append((float(np.sum(wl[~fl] * np.log(sl[~fl]))) / math.pi,
-                    float(np.sum(wl[fl] * (nu - sl[fl]))) / math.pi))
-    return out
-
-
-def _quadrature_levels(psd: PsdSpec, nu, edges, filled):
-    """_band_integrals at _PANELS, 2 _PANELS, 4 _PANELS, ... panels, up to
-    _MAX_LEVELS levels.  The first two levels share one psd_eval, since
-    the agreement test needs both and most solves stop there."""
-    counts = [_PANELS << i for i in range(_MAX_LEVELS)]
-    for batch in (counts[:2], *([n] for n in counts[2:])):
-        yield from _band_integrals(psd, nu, edges, filled, batch)
+    mid = edges[i] + half
+    s = psd_eval(psd, tuple(mid + half * x for x in _GL_NODES))
+    return capacity, half * math.fsum(
+        w * (nu - si) for w, si in zip(_GL_WEIGHTS, s)) / math.pi
 
 
 def _check_floor(tol, *values):
@@ -584,45 +329,19 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
         capacity = 0.5 * math.log2(nu / psd.level)
         _check_floor(tol, capacity)
         residual = abs(nu - psd.level - power)
-    elif psd.form == "ma" and len(psd.coeffs) == 2:
+    elif _is_ma1(psd):
         capacity, filled_power = _ma1_capacity(psd, nu, edges, filled)
         _check_floor(tol, capacity)
         _check_floor(tol * max(1.0, power), filled_power)
         residual = abs(filled_power - power)
     else:
-        width = float(np.sum(np.diff(edges)[filled])) / math.pi
-        if psd.form == "ma":
-            mean_log = _jensen_mean_log(psd, tol)
-        else:
-            filled_log = _filled_log_samples(psd, edges, filled) / math.pi
-        full = bool(filled.all())
-        if full:
-            # U is empty
-            levels = [(0.0, _full_band_power(psd, nu))]
-        else:
-            levels = _quadrature_levels(psd, nu, edges, filled)
-        # a partial band's panels double until two levels agree on both
-        # numbers: the capacity within tol, the filled power (about P)
-        # within tol * max(1, P)
-        power_tol = tol * max(1.0, power)
-        prev = None
-        for unfilled_log, filled_power in levels:
-            if psd.form == "ma":
-                filled_log = mean_log - unfilled_log
-            capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
-            _check_floor(tol, capacity)
-            _check_floor(power_tol, filled_power)
-            if full or prev is not None and abs(capacity - prev[0]) <= tol \
-                    and abs(filled_power - prev[1]) <= power_tol:
-                break
-            prev = capacity, filled_power
-        else:
-            raise ConvergenceError(
-                f"capacity quadrature did not reach tolerance {tol:g} after "
-                f"refinement up to {_PANELS << (_MAX_LEVELS - 1)} panels")
-        residual = abs(filled_power - power)
+        from . import _waterfill_arrays
+        capacity, residual = _waterfill_arrays._capacity(
+            psd, power, nu, edges, filled, tol)
 
     def input_psd(th):
+        import numpy as np
+
         return np.maximum(nu - psd_eval(psd, th), 0.0)
 
     return WaterfillSolution(
@@ -632,5 +351,6 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
         power_residual=residual,
         input_psd=input_psd,
         band_crossings=tuple(
-            float(t) for t in edges[1:-1][filled[:-1] != filled[1:]]),
+            float(edges[i + 1]) for i in range(len(filled) - 1)
+            if filled[i] != filled[i + 1]),
     )

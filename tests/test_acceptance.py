@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from gfcap._waterfill_arrays import _jensen_mean_log
 from gfcap.cli import main
 from gfcap.feedback import conjecture_check, sk_poly, sk_root
 from gfcap.simulator import (
@@ -22,7 +23,7 @@ from gfcap.simulator import (
     variance_recursion,
 )
 from gfcap.spectrum import PAPER_CHANNEL, PsdSpec
-from gfcap.waterfill import _jensen_mean_log, nonfeedback_capacity
+from gfcap.waterfill import nonfeedback_capacity
 
 PI = math.pi
 

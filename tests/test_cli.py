@@ -2,9 +2,10 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from gfcap import cli, feedback
+from gfcap import cli, feedback, simulator
 from gfcap.cli import main
 from gfcap.feedback import conjecture_check
 
@@ -137,6 +138,19 @@ class TestCounterexampleCommand:
         for p, rate, c2p, violated in rows:
             assert violated == (rate > c2p)
 
+    def test_power_sweep_grid_equals_np_linspace(self):
+        """The sweep's powers are built in plain Python by numpy's
+        linspace arithmetic, and equal np.linspace bit for bit on 2,000
+        drawn grids, ends written at full precision."""
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            lo = float(10.0 ** rng.uniform(-3.0, 2.0))
+            hi = lo + float(10.0 ** rng.uniform(-12.0, 3.0))
+            steps = int(rng.integers(2, 200))
+            grid = cli._parse_sweep(f"{lo!r}..{hi!r}:{steps}")
+            assert all(type(p) is float for p in grid)
+            assert np.array_equal(grid, np.linspace(lo, hi, steps))
+
     def test_power_sweep_rows_equal_conjecture_check(self, capsys):
         code, doc, _ = run_json(capsys, "counterexample",
                                 "--power-sweep", "0.5..2:10")
@@ -230,7 +244,7 @@ class TestExitCodes:
         def forbidden(*args, **kwargs):
             raise AssertionError("Monte Carlo ran before the trace failed")
 
-        monkeypatch.setattr(cli, "simulate_transmission", forbidden)
+        monkeypatch.setattr(simulator, "simulate_transmission", forbidden)
         code, out, err = run(capsys, "simulate", "--power", "1",
                              "--trace-out",
                              str(tmp_path / "missing" / "t.csv"))

@@ -58,3 +58,13 @@ def test_removed_alpha_minimizer_is_gone():
     assert not hasattr(gfcap, "minimize_cy")
     assert not hasattr(gfcap.feedback, "minimize_cy")
     assert "minimize_cy" not in gfcap.__all__
+
+
+def test_simulator_exports_resolve_once():
+    # resolved on first access, then held in the package namespace
+    from gfcap import simulator
+
+    for name in ("SchemeConfig", "simulate_transmission", "trace_to_csv"):
+        assert getattr(gfcap, name) is getattr(simulator, name)
+        assert vars(gfcap)[name] is getattr(simulator, name)
+    assert gfcap.ConditioningError is simulator.ConditioningError

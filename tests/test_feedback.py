@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 
 from gfcap import feedback
 from gfcap.feedback import (
+    _linspace,
     chen_yanagi_bound,
     chen_yanagi_curve,
     conjecture_check,
@@ -153,10 +154,32 @@ class TestChenYanagi:
 
 class TestAlphaGrid:
     def test_default_grid(self):
+        """A tuple of floats within an ulp of np.logspace: numpy's
+        vectorised power and 10.0 ** y differ in the last bit at points
+        38 and 44 of this grid, where 10.0 ** y is the nearer to 10^y."""
         grid = default_alpha_grid()
+        assert isinstance(grid, tuple)
+        assert all(type(a) is float for a in grid)
         assert len(grid) == 50
         assert grid[0] == 0.1 and grid[-1] == 10.0
-        assert np.array_equal(grid, np.logspace(-1, 1, 50))
+        ref = np.logspace(-1, 1, 50)
+        assert np.all(np.abs(np.array(grid) - ref) <= np.spacing(ref))
+
+    def test_grids_within_an_ulp_of_logspace(self):
+        """On 500 drawn grids the exponents equal np.linspace's bit for bit
+        and each point is within an ulp of np.logspace over the same ends
+        (numpy's log10 of an end can itself differ from math.log10 by an
+        ulp, which the grid then carries)."""
+        rng = np.random.default_rng(14)
+        for _ in range(500):
+            lo, hi = 10.0 ** rng.uniform(-3.0, 1.0, size=2)
+            n = int(rng.integers(1, 120))
+            grid = np.array(default_alpha_grid(n, lo, hi))
+            start, stop = math.log10(lo), math.log10(hi)
+            assert np.array_equal(_linspace(start, stop, n),
+                                  np.linspace(start, stop, n))
+            ref = np.logspace(start, stop, n)
+            assert np.all(np.abs(grid - ref) <= np.spacing(ref))
 
     @pytest.mark.parametrize("args", [
         (0,), (-3,), (5, 0.0, 1.0), (5, -1.0, 1.0), (5, math.nan, 1.0),

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import spence
 
+from gfcap import _waterfill_arrays as arrays
 from gfcap import waterfill
 from gfcap.feedback import conjecture_check
 from gfcap.spectrum import (
@@ -200,21 +202,31 @@ class Oracle:
     neighbouring nodes of a grid that includes its polished local extrema,
     so each crossing of S = nu is bracketed by two nodes and located by
     brentq; each filled band is then integrated by quad, with break points
-    graded toward the local minima and the ends 0 and pi."""
+    graded toward the local minima and the ends 0 and pi.
+
+    A run of grid nodes with equal values is one candidate turn, polished
+    over the run and its two neighbours if both lie strictly on the same
+    side of it and one of them by more than the rounding of S, 64 eps
+    max S.  So where S is flat in floating point, or jitters within its
+    rounding, it adds no interior turns."""
 
     def __init__(self, spec):
         s = self.s = direct_psd(spec)
         grid = np.linspace(0.0, PI, 32 * (len(spec.coeffs or ()) + 1) + 1)
         vals = np.array([s(t) for t in grid])
+        runs = [list(run) for _, run in
+                itertools.groupby(range(len(grid)), key=vals.__getitem__)]
+        rounding = 64 * EPS * float(np.max(np.abs(vals)))
         turns, minima = [], []
-        for i in range(1, len(grid) - 1):
+        for before, run, after in zip(runs, runs[1:], runs[2:]):
+            lo, hi = before[-1], after[0]
             for sign in (1.0, -1.0):
-                if sign * vals[i] <= min(sign * vals[i - 1],
-                                         sign * vals[i + 1]):
+                rise = (sign * (vals[lo] - vals[run[0]]),
+                        sign * (vals[hi] - vals[run[0]]))
+                if min(rise) > 0.0 and max(rise) > rounding:
                     turns.append(minimize_scalar(
-                        lambda t: sign * s(t),
-                        bounds=(grid[i - 1], grid[i + 1]), method="bounded",
-                        options={"xatol": 1e-14}).x)
+                        lambda t: sign * s(t), bounds=(grid[lo], grid[hi]),
+                        method="bounded", options={"xatol": 1e-14}).x)
                     if sign > 0:
                         minima.append(turns[-1])
         nodes = np.concatenate([grid, turns])
@@ -391,14 +403,16 @@ def test_random_ma_capacity_against_scipy(seed, q, power):
 
 
 def counted_psd_eval(monkeypatch):
-    """Patch waterfill's psd_eval to record the size of each call."""
+    """Patch the psd_eval of waterfill (white, MA(1)) and of its array half
+    (every other spectrum) to record the size of each call."""
     sizes = []
 
     def counted(spec, theta):
         sizes.append(np.size(theta))
         return psd_eval(spec, theta)
 
-    monkeypatch.setattr(waterfill, "psd_eval", counted)
+    for owner in (waterfill, arrays):
+        monkeypatch.setattr(owner, "psd_eval", counted)
     return sizes
 
 
@@ -415,9 +429,19 @@ def counted_calls(monkeypatch, owner, name):
 
 
 def counted_chebroots(monkeypatch):
-    """Record waterfill's chebroots calls, one eigensolve per level
-    evaluation of a partial MA(q >= 2) band."""
-    return counted_calls(monkeypatch, waterfill.chebyshev, "chebroots")
+    """Record the chebroots calls of waterfill's array half, one eigensolve
+    per level evaluation of a partial MA(q >= 2) band."""
+    return counted_calls(monkeypatch, arrays.chebyshev, "chebroots")
+
+
+def test_gauss_legendre_literals_equal_leggauss():
+    """waterfill writes its 16-point rule as float literals, so that the
+    MA(1) power check needs no numpy; they are numpy's rule exactly."""
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert waterfill._GL_NODES == tuple(nodes.tolist())
+    assert waterfill._GL_WEIGHTS == tuple(weights.tolist())
+    assert np.array_equal(arrays._GL_X, nodes)
+    assert np.array_equal(arrays._GL_W, weights)
 
 
 def test_paper_channel_work_budget(monkeypatch):
@@ -442,11 +466,11 @@ def test_ma1_work_budget(monkeypatch, taps, sigma2, power):
     Gauss-Legendre nodes of the filled arc or the 2 midpoints of a full
     band."""
     spec = PsdSpec.ma(taps, sigma2)
-    waterfill._jensen_mean_log.cache_clear()
+    arrays._jensen_mean_log.cache_clear()
     counts = [counted_calls(monkeypatch, *target) for target in (
-        (waterfill.chebyshev, "chebroots"), (np.linalg, "eigvals"),
-        (waterfill, "_sampled_level"), (waterfill, "_band_integrals"),
-        (waterfill, "_jensen_mean_log"))]
+        (arrays.chebyshev, "chebroots"), (np.linalg, "eigvals"),
+        (arrays, "_sampled_level"), (arrays, "_band_integrals"),
+        (arrays, "_jensen_mean_log"))]
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
     assert counts == [[]] * len(counts)
@@ -487,7 +511,7 @@ def test_full_band_work_budget(monkeypatch, spec, power):
     def no_quadrature(*args):
         raise AssertionError("a full band reached the quadrature")
 
-    monkeypatch.setattr(waterfill, "_band_integrals", no_quadrature)
+    monkeypatch.setattr(arrays, "_band_integrals", no_quadrature)
     roots = counted_chebroots(monkeypatch)
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
@@ -506,14 +530,18 @@ def test_full_band_power_check_is_independent_of_the_solve(monkeypatch, spec,
                                                            power):
     """The full-band level is nu0 = mean S + P from _mean_and_bound, and
     the power check evaluates S on its own: a mean off by delta puts the
-    level off by delta, and the power residual reads delta."""
-    delta, mean_and_bound = 1e-6, waterfill._mean_and_bound
+    level off by delta, and the power residual reads delta.  White noise
+    and MA(1) take the mean from waterfill, other forms from its array
+    half."""
+    owner = waterfill if spec.form == "white" or len(spec.coeffs) == 2 \
+        else arrays
+    delta, mean_and_bound = 1e-6, owner._mean_and_bound
 
     def shifted(psd):
         mean, bound = mean_and_bound(psd)
         return mean + delta, bound
 
-    monkeypatch.setattr(waterfill, "_mean_and_bound", shifted)
+    monkeypatch.setattr(owner, "_mean_and_bound", shifted)
     sol = nonfeedback_capacity(spec, power)
     assert sol.band_crossings == ()
     assert sol.power_residual == pytest.approx(delta, rel=1e-6)
@@ -585,7 +613,7 @@ def test_conjecture_check_level_budget(monkeypatch):
     channel, MA(1), so none of them takes an eigensolve."""
     roots = counted_chebroots(monkeypatch)
     eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
-    waterfill._jensen_mean_log.cache_clear()
+    arrays._jensen_mean_log.cache_clear()
     conjecture_check(1.0)
     assert roots == []
     assert eigvals == []
@@ -596,20 +624,20 @@ def test_sampled_start_on_both_sides_of_the_root(monkeypatch):
     bands and below it on others, where one Newton step from below must land
     at or above the root; either way the level meets the oracle.  MA(1)
     bands take no sampled start."""
-    sampled_level, starts = waterfill._sampled_level, []
+    sampled_level, starts = arrays._sampled_level, []
 
     def recorded(s, power):
         starts.append(sampled_level(s, power))
         return starts[-1]
 
-    monkeypatch.setattr(waterfill, "_sampled_level", recorded)
+    monkeypatch.setattr(arrays, "_sampled_level", recorded)
     rng = np.random.default_rng(1010)
     sides = set()
     for q in range(1, 17):
         spec = PsdSpec.ma(min_phase_taps(rng, q),
                           float(10 ** rng.uniform(-1, 1)))
         s, oracle = direct_psd(spec), Oracle(spec)
-        mean = waterfill._mean_and_bound(spec)[0]
+        mean = (waterfill if q == 1 else arrays)._mean_and_bound(spec)[0]
         smax = max(s(t) for t in np.linspace(0.0, PI, 1025))
         for u in (0.02, 0.2, 0.7):
             # below smax - mean S the band does not fill
@@ -788,16 +816,33 @@ def psd_eval_loop(spec, th):
 
 
 def test_horner_psd_eval_matches_per_tap_sum():
+    """The array Horner pass meets the per-tap sum, and the plain-Python
+    pass over a float or a tuple meets the array pass, both to 8 eps
+    sigma2 (sum |b_k|)^2, the scale of S's rounding: numpy fuses the
+    complex multiply and rounds |acc| apart from libm's hypot, so the two
+    passes differ by a few ulps of that scale, not of S next to a zero.
+    White noise is its level at every point, on every path."""
     rng = np.random.default_rng(11)
     th = np.linspace(-PI, PI, 2001)
     for q in range(17):
         b = rng.standard_normal(q + 1) * 10 ** rng.uniform(-2, 2)
         spec = PsdSpec.ma(b, float(10 ** rng.uniform(-1, 1)))
         bound = 8 * EPS * spec.sigma2 * np.sum(np.abs(b)) ** 2
-        assert np.max(np.abs(psd_eval(spec, th) - psd_eval_loop(spec, th))) \
-            <= bound
+        array = psd_eval(spec, th)
+        assert np.max(np.abs(array - psd_eval_loop(spec, th))) <= bound
         assert psd_eval(spec, 0.3) == pytest.approx(
             float(psd_eval_loop(spec, np.asarray(0.3))), abs=bound)
+        points = psd_eval(spec, tuple(th.tolist()))
+        assert type(points) is tuple
+        assert all(type(v) is float for v in points)
+        assert np.max(np.abs(np.array(points) - array)) <= bound
+        assert type(psd_eval(spec, 0.3)) is float
+        assert psd_eval(spec, 0.3) == pytest.approx(
+            float(psd_eval(spec, np.asarray(0.3))), abs=bound)
+    white = PsdSpec.white(0.7)
+    assert psd_eval(white, (0.3, -3.0)) == (0.7, 0.7)
+    assert psd_eval(white, 0.3) == 0.7
+    assert np.array_equal(psd_eval(white, th), np.full(th.shape, 0.7))
 
 
 # ---- reference forms of the crossing polish and of Jensen's formula -------
@@ -809,7 +854,7 @@ def ma_crossings_chebval(c, nu):
     p = c.copy()
     p[0] -= nu
     x = chebyshev.chebroots(p)
-    window = waterfill._ROOT_WINDOW
+    window = arrays._ROOT_WINDOW
     x = np.clip(x.real[(np.abs(x.imag) <= window)
                        & (np.abs(x.real) <= 1.0 + window)], -1.0, 1.0)
     for _ in range(2):
@@ -867,12 +912,11 @@ def test_theta_polish_matches_chebval_polish():
     rng = np.random.default_rng(61)
     count = 0
     for spec in random_ma_spectra(60, 600):
-        c = waterfill._cosine_series(spec)
+        c = arrays._cosine_series(spec)
         s = psd_eval(spec, np.linspace(0.0, PI, 513))
         nu = float(rng.uniform(s.min(), s.max()))
         ref = ma_crossings_chebval(c, nu)
-        got = waterfill._polish_crossings(c, nu,
-                                          waterfill._ma_crossings(c, nu))
+        got = arrays._polish_crossings(c, nu, arrays._ma_crossings(c, nu))
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-13)
         count += len(got)
@@ -883,16 +927,16 @@ def test_jensen_eigensolve_matches_np_roots():
     nonzero_bounds = 0
     for spec in random_ma_spectra(62, 600):
         mean_log, bound, scale = jensen_polyval(spec)
-        waterfill._jensen_mean_log.cache_clear()
-        got = waterfill._jensen_mean_log(spec, 1.0)
+        arrays._jensen_mean_log.cache_clear()
+        got = arrays._jensen_mean_log(spec, 1.0)
         assert got == pytest.approx(mean_log, abs=4 * EPS * max(scale, 1.0))
         # the two error bounds agree within a factor of 2: tol = 2 bound
         # passes and tol = bound / 2 raises (bound 0: no tol raises)
-        waterfill._jensen_mean_log(spec, 2.0 * bound or 1e-300)
+        arrays._jensen_mean_log(spec, 2.0 * bound or 1e-300)
         if bound > 0.0:
             nonzero_bounds += 1
             with pytest.raises(ConvergenceError):
-                waterfill._jensen_mean_log(spec, 0.5 * bound)
+                arrays._jensen_mean_log(spec, 0.5 * bound)
     assert nonzero_bounds >= 50
 
 
@@ -901,9 +945,9 @@ def test_jensen_eigensolve_matches_np_roots():
 def test_multiple_unit_circle_zeros_exceed_both_bounds(taps):
     spec = PsdSpec.ma(taps)
     assert jensen_polyval(spec)[1] > 1e-10
-    waterfill._jensen_mean_log.cache_clear()
+    arrays._jensen_mean_log.cache_clear()
     with pytest.raises(ConvergenceError):
-        waterfill._jensen_mean_log(spec, 1e-10)
+        arrays._jensen_mean_log(spec, 1e-10)
 
 
 @pytest.mark.parametrize("tail", [0.0, 1e-30, 1.5e-89])
@@ -972,12 +1016,12 @@ def test_ma1_capacity_property(taps, sigma2, log_power):
     """The closed-form MA(1) capacity meets scipy's quad on the oracle's
     own level to 1e-10, the power check holds to 1e-10 max(1, P), and each
     crossing has |S(theta) - nu| <= 1e-12 max(nu, max S).  A zero tap
-    leaves S = sigma2 b^2 flat, with C = 0.5 log2(1 + P / S).  Taps whose
-    ratio is below 1e-6, or below 1e-3 in size, are left out: S is flat in
-    floating point there, or underflows, and every grid node would be a
-    turn of the oracle's."""
+    leaves S = sigma2 b^2 flat, with C = 0.5 log2(1 + P / S).  Taps of any
+    ratio are drawn, S flat in floating point among them; only taps below
+    1e-100 in size are left out, where S underflows next to its zeros and
+    the oracle's log integrand is no longer finite."""
     small, large = sorted(map(abs, taps))
-    assume(large >= 1e-3 and (small == 0.0 or small >= 1e-6 * large))
+    assume(large >= 1e-100)
     spec, power = PsdSpec.ma(taps, sigma2), 10.0 ** log_power
     sol = nonfeedback_capacity(spec, power)
     if small == 0.0:
