@@ -3,9 +3,8 @@
 waterfill solves white noise and MA(1) in scalar closed forms and imports
 this module on first use, for everything else: the level's full-band test
 on these forms, the crossings and their polish, the sampled start, the
-Newton loop, Jensen's formula, the full-band power check and the
-Gauss-Legendre quadrature of a partial band.  The method is set out in
-waterfill's docstring.
+Newton loop, the roots of B with Jensen's formula and the dilogarithm, and
+the power checks.  The method is set out in waterfill's docstring.
 """
 
 from __future__ import annotations
@@ -14,17 +13,11 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .spectrum import ConvergenceError, PsdSpec, psd_eval
-from .waterfill import _EPS, _GL_NODES, _GL_WEIGHTS, _LN2, _check_floor
+from .waterfill import _EPS, _LI2_BERNOULLI, _LN2, _check_floor
 
 _NEWTON_MAX_ITER = 100
-_MAX_LEVELS = 8
-# Gauss-Legendre panels on [0, pi] at the first quadrature level
-_PANELS = 32
-# waterfill's 16-point Gauss-Legendre rule on [-1, 1], as arrays
-_GL_X, _GL_W = np.array(_GL_NODES), np.array(_GL_WEIGHTS)
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
 # crossings.  Extra candidates are harmless (each band is decided by the
 # sign of S - nu at its midpoint), so the window is generous.
@@ -44,16 +37,46 @@ def _cosine_series(spec: PsdSpec):
     return c
 
 
-def _ma_crossings(c, nu):
-    """Angles in [0, pi] where S(theta) = sum_k c[k] cos(k theta) = nu:
-    the real roots in [-1, 1] of the Chebyshev series c - nu, mapped to
-    theta by arccos, which loses digits next to 0 and pi."""
-    p = c.copy()
-    p[0] -= nu
-    x = chebyshev.chebroots(p)
-    x = np.clip(x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
-                       & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)], -1.0, 1.0)
-    return np.arccos(x)
+def _ma_crossings(c):
+    """crossings(nu) -> the angles in [0, pi] where
+    S(theta) = sum_k c[k] cos(k theta) = nu: the real roots in [-1, 1] of
+    the Chebyshev series c - nu, mapped to theta by arccos, which loses
+    digits next to 0 and pi.
+
+    The roots are the eigenvalues of the series' colleague matrix, rotated
+    as numpy's chebroots rotates it.  It is built once: only its entry from
+    the constant term depends on nu, and each level sets that entry by the
+    operations of numpy's chebcompanion, so the roots are chebroots' own,
+    bit for bit.  A series of degree 1 has the one root (nu - c0) / c1,
+    and one of degree 0 none."""
+    n = len(c) - 1
+    if n < 2:
+        def roots(nu):
+            return np.array([(nu - c[0]) / c[1]] if n else [])
+    else:
+        mat = np.zeros((n, n))
+        flat = mat.reshape(-1)
+        flat[1::n + 1] = 0.5
+        flat[1] = math.sqrt(0.5)
+        flat[n::n + 1] = flat[1::n + 1]
+        scale = np.array([1.0] + [math.sqrt(0.5)] * (n - 1))
+        scale = scale / scale[-1]
+        corner = mat[0, -1]
+        mat[:, -1] -= (c[:-1] / c[-1]) * scale * 0.5
+        rotated = mat[::-1, ::-1]
+
+        def roots(nu):
+            mat[0, -1] = corner - ((c[0] - nu) / c[-1]) * scale[0] * 0.5
+            return np.linalg.eigvals(rotated)
+
+    def crossings(nu):
+        x = roots(nu)
+        x = x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
+                   & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)]
+        # np.clip to [-1, 1], without its call overhead
+        return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
+
+    return crossings
 
 
 def _polish_crossings(c, nu, theta):
@@ -65,14 +88,14 @@ def _polish_crossings(c, nu, theta):
     kc = k * c[1:]
 
     def gap_and_slope(theta):
-        arg = np.outer(theta, k)
+        arg = theta[:, None] * k
         return gap0 + np.cos(arg) @ c[1:], -(np.sin(arg) @ kc)
 
     gap, slope = gap_and_slope(theta)
     for _ in range(2):
         # a zero slope gives a step to 0 or pi, or nan, and nan is never kept
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.clip(theta - gap / slope, 0.0, math.pi)
+            step = np.minimum(np.maximum(theta - gap / slope, 0.0), math.pi)
             step_gap, step_slope = gap_and_slope(step)
         better = np.abs(step_gap) < np.abs(gap)
         theta = np.where(better, step, theta)
@@ -92,6 +115,27 @@ def _sampled_level(s, power):
     return float(levels[fits[0] if len(fits) else -1])
 
 
+def _cos_mid(edges, k):
+    """cos(k mid) at the midpoint of each piece between edges."""
+    return np.cos(0.5 * (edges[:-1] + edges[1:])[:, None] * k)
+
+
+def _ma_areas(c, k, nu, edges, cos_mid):
+    """The area of nu - S on each piece between edges, for k = 1..len(c) - 1,
+    from the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
+    differenced over each piece as 2 cos(k mid) sin(k half) so that a
+    narrow band does not lose its digits to cancellation."""
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (2.0 * (nu - c[0]) * half
+            - (cos_mid * np.sin(half[:, None] * k)) @ (2.0 * c[1:] / k))
+
+
+def _sorted_unique(x):
+    """np.unique of a 1-D float array, without its call overhead."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _ma_pieces(c):
     """(split, pieces) for an MA spectrum with cosine series c.
     split(nu, theta) sorts 0, pi and the crossings theta into the edges of
@@ -99,28 +143,21 @@ def _ma_pieces(c):
     midpoint, so a tangent or spurious root cannot flip a band;
     pieces(nu) -> (edges, filled, areas) adds the area of nu - S on each
     piece, in closed form."""
-    k = np.arange(1, len(c))
-    weights = 2.0 * c[1:] / k
     # a trailing term below eps sum |c_k| is lost in S's rounding, but as the
-    # leading coefficient its reciprocal scales the crossings' companion
+    # leading coefficient its reciprocal scales the crossings' colleague
     # matrix and loses them (from a tap ratio of about 1e-26), so it is dropped
     kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
-    series = c[:kept[-1] + 1]
+    crossings = _ma_crossings(c[:kept[-1] + 1])
+    k = np.arange(1, len(c))
 
     def split(nu, theta):
-        edges = np.unique(np.concatenate(([0.0, math.pi], theta)))
-        cos_mid = np.cos(np.outer(0.5 * (edges[:-1] + edges[1:]), k))
+        edges = _sorted_unique(np.concatenate(([0.0, math.pi], theta)))
+        cos_mid = _cos_mid(edges, k)
         return edges, c[0] + cos_mid @ c[1:] < nu, cos_mid
 
     def pieces(nu):
-        edges, filled, cos_mid = split(nu, _ma_crossings(series, nu))
-        half = 0.5 * np.diff(edges)
-        # the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
-        # differenced over each piece as 2 cos(k mid) sin(k half) so that a
-        # narrow band does not lose its digits to cancellation
-        areas = (2.0 * (nu - c[0]) * half
-                 - (cos_mid * np.sin(np.outer(half, k))) @ weights)
-        return edges, filled, areas
+        edges, filled, cos_mid = split(nu, crossings(nu))
+        return edges, filled, _ma_areas(c, k, nu, edges, cos_mid)
 
     return split, pieces
 
@@ -180,15 +217,15 @@ def _solve_level(spec: PsdSpec, power: float):
     if spec.form == "ma":
         c = _cosine_series(spec)
         split, pieces = _ma_pieces(c)
-        s = c[0] + np.cos(np.outer(_START_THETA, np.arange(1, len(c)))) @ c[1:]
+        s = c[0] + np.cos(_START_THETA[:, None] * np.arange(1, len(c))) @ c[1:]
         nu = min(_sampled_level(s, power), nu0)
     else:
         pieces = _samples_pieces(spec.values)
 
     def terms(nu):
         edges, filled, areas = pieces(nu)
-        return (float(np.sum(areas[filled])) / math.pi,
-                float(np.sum(np.diff(edges)[filled])) / math.pi,
+        return (float(areas[filled].sum()) / math.pi,
+                float((edges[1:] - edges[:-1])[filled].sum()) / math.pi,
                 edges, filled)
 
     filled_power, slope, edges, filled = terms(nu)
@@ -216,62 +253,149 @@ def _solve_level(spec: PsdSpec, power: float):
 
 
 @lru_cache(maxsize=256)
-def _jensen_mean_log(spec: PsdSpec, tol: float):
-    """mean ln S over [-pi, pi] by Jensen's formula,
-    ln sigma2 + 2 ln|b_lead| + 2 sum_k ln max(1, |z_k|) over the roots z_k
-    of B.  Cached per spectrum: bound curves and power sweeps solve one
-    spectrum at many powers.
+def _ma_roots(spec: PsdSpec):
+    """(b, z): the taps b of B(z) = sum_k b_k z^k, without trailing taps up
+    to eps sum |b_k|, and B's roots z, the eigenvalues of its companion
+    matrix (a linear B has the one root -b0 / b1).  Cached per spectrum,
+    since bound curves and power sweeps solve one spectrum at many powers;
+    Jensen's formula and the dilogarithm both read these roots.
 
-    A computed root z is within dz = (|B(z)| + rounding of B(z)) / |B'(z)|
-    of a true one, to first order.  Only a root within dz of the unit
-    circle may lie on the other side of it and so move the sum, by at most
-    dz; the sum of those dz, in bits, must not exceed tol.
-
-    The roots are the eigenvalues of B's companion matrix (MA(1) has the
-    one root -b0 / b1), and one Horner pass gives B(z), B'(z) and
-    sum_j |b_j| |z|^j, the scale of the rounding of B(z).
-
-    Trailing taps up to eps sum |b_k| are dropped first: as the leading
-    coefficient, such a tap's reciprocal scales the companion matrix and
-    spoils the roots on the unit circle.  The scale still runs over every
-    tap, so the dropped tail, below B's rounding, is counted as rounding.
+    As the leading coefficient, a dropped tap's reciprocal would scale the
+    companion matrix and spoil the roots on the unit circle.  The error
+    bounds still run over every tap, so the dropped tail, below B's
+    rounding, is counted as rounding there.
     """
     taps = np.asarray(spec.coeffs)
     # _reject_vanishing has left a nonzero tap, and so one that is kept
     kept = np.flatnonzero(np.abs(taps) > _EPS * np.abs(taps).sum())
     b = taps[:kept[-1] + 1]
     if len(b) <= 2:
-        z = -b[:-1] / b[-1]
-    else:
-        companion = np.eye(len(b) - 1, k=-1)
-        companion[0] = -b[-2::-1] / b[-1]
-        z = np.linalg.eigvals(companion)
+        return b, -b[:-1] / b[-1]
+    n = len(b) - 1
+    companion = np.zeros((n, n))
+    companion.reshape(-1)[n::n + 1] = 1.0  # the subdiagonal
+    companion[0] = -b[-2::-1] / b[-1]
+    return b, np.linalg.eigvals(companion)
+
+
+def _jensen_mean_log(spec: PsdSpec, tol: float):
+    """mean ln S over [-pi, pi] by Jensen's formula,
+    ln sigma2 + 2 ln|b_lead| + 2 sum_k ln max(1, |z_k|) over the roots z_k
+    of B, from _ma_roots.
+
+    A computed root z is within dz = (|B(z)| + rounding of B(z)) / |B'(z)|
+    of a true one, to first order.  Only a root within dz of the unit
+    circle may lie on the other side of it and so move the sum, by at most
+    dz; the sum of those dz, in bits, must not exceed tol.  One Vandermonde
+    matrix of the roots gives B(z), B'(z) and sum_j |b_j| |z|^j, the scale
+    of the rounding of B(z), all at once.
+    """
+    taps = np.asarray(spec.coeffs)
+    b, z = _ma_roots(spec)
+    powers = np.vander(z, len(taps), increasing=True)
+    value = powers[:, :len(b)] @ b
+    slope = powers[:, :len(b) - 1] @ (np.arange(1, len(b)) * b[1:])
+    scale = np.abs(powers) @ np.abs(taps)
     r = np.abs(z)
-    value, slope, scale = np.zeros_like(z), np.zeros_like(z), np.zeros_like(r)
-    for bj in b[::-1]:
-        slope = slope * z + value
-        value = value * z + bj
-    for bj in taps[::-1]:
-        scale = scale * r + abs(bj)
     with np.errstate(divide="ignore", invalid="ignore"):
         dz = (np.abs(value) + 2 * len(taps) * _EPS * scale) / np.abs(slope)
-    bound = float(np.sum(dz[np.abs(r - 1.0) <= dz])) / _LN2
+    bound = float(dz[np.abs(r - 1.0) <= dz].sum()) / _LN2
     if not bound <= tol:
         raise ConvergenceError(
             f"capacity error bound {bound:.2e} from spectral zeros on or "
             f"near the unit circle exceeds tolerance {tol:g}")
     return (math.log(spec.sigma2) + 2.0 * math.log(abs(b[-1]))
-            + 2.0 * float(np.sum(np.log(np.maximum(r, 1.0)))))
+            + 2.0 * float(np.log(np.maximum(r, 1.0)).sum()))
+
+
+def _im_li2(r, phi):
+    """Im Li2(r e^{i phi}) for 0 <= r <= 1, elementwise: waterfill._li2
+    over arrays, with v = 1 - w formed as (1 - r) + 2r sin^2(phi/2)
+    - i r sin phi, which keeps its digits next to w = 1.  Where Re w <= 1/2
+    it is the series u - u^2/4 + sum_k B_2k u^(2k+1) / (2k+1)! in
+    u = -ln v, where |u| <= 1.3; elsewhere the reflection
+    pi^2/6 - ln w ln v - Li2(v), with Li2(v) from the same series in
+    u = -ln w, where |u| <= 1.3 too.  The terms fall by
+    (|u| / 2 pi)^2 <= 0.05, so the tail past k = 12 is below 1e-17."""
+    sin = np.sin(phi)
+    w = r * np.cos(phi) + 1j * (r * sin)
+    v = (1.0 - r) + 2.0 * r * np.sin(0.5 * phi) ** 2 - 1j * (r * sin)
+    reflected = w.real > 0.5
+    # ln w only where reflected, and ln v = 0 at v = 0 (w = 1), where the
+    # product ln w ln v vanishes: no log of 0 is ever taken
+    log_w = np.log(np.where(reflected, w, 1.0))
+    log_v = np.log(np.where(v == 0.0, 1.0, v))
+    u = np.where(reflected, -log_w, -log_v)
+    u2, acc = u * u, np.zeros_like(u)
+    for c in reversed(_LI2_BERNOULLI):
+        acc = acc * u2 + c
+    series = (u - 0.25 * u2 + acc * u2 * u).imag
+    return np.where(reflected, -(log_w * log_v).imag - series, series)
+
+
+def _root_error(spec: PsdSpec):
+    """A bound on max |b_lead prod_j (x - z_j) - B(x)| over the unit
+    circle, the backward error of the computed roots z_j.  The difference
+    p is a polynomial of degree at most q = len(taps) - 1, sampled at the
+    N = 4(q + 1) roots of unity x_n = e^{-2 pi i n / N}, where the FFT of
+    the taps gives B(x_n).  Every point of the circle lies within pi / N
+    of a sample, and by Bernstein's inequality max |p'| <= q max |p|, so
+    max |p| <= max over the samples / (1 - pi q / N).  The samples carry
+    their own rounding, of the order of the backward error itself."""
+    taps = np.asarray(spec.coeffs)
+    b, z = _ma_roots(spec)
+    q = len(taps) - 1
+    count = 4 * (q + 1)
+    x = np.exp((-2j * math.pi / count) * np.arange(count))
+    gap = (b[-1] * np.prod(x - z[:, None], axis=0)
+           - np.fft.fft(taps, count))
+    return float(np.abs(gap).max()) / (1.0 - math.pi * q / count)
+
+
+def _unfilled_log(spec: PsdSpec, mean_log, nu, edges, filled, tol):
+    """int_U ln S / pi over the unfilled set U of a partial MA band, by the
+    dilogarithm on the roots z_j of B.  With rho_j = 1 / z_j outside the
+    unit circle and conj(z_j) inside it,
+    ln S = mean_log + sum_j ln |1 - rho_j e^{i theta}|^2, and
+    int_a^b ln |1 - rho e^{i theta}|^2
+    = -2 Im[Li2(rho e^{ib}) - Li2(rho e^{ia})],
+    so int_U ln S = |U| mean_log - 2 sum_j sum_pieces Im[...].  S >= nu > 0
+    on U, so no edge of U sits on a zero of S.
+
+    The computed roots are exact for B + dB, and on U, where
+    |B| >= sqrt(nu / sigma2), ln S moves by at most
+    2 max |dB| / sqrt(nu / sigma2) to first order, so the capacity by at
+    most 2 |U| max |dB| / sqrt(nu / sigma2) / (2 pi ln 2), with max |dB|
+    from _root_error.  That bound must not exceed tol.
+    """
+    lo, hi = edges[:-1][~filled], edges[1:][~filled]
+    width = float((hi - lo).sum())
+    bound = (width * _root_error(spec)
+             / (math.pi * _LN2 * math.sqrt(nu / spec.sigma2)))
+    if not bound <= tol:
+        raise ConvergenceError(
+            f"capacity error bound {bound:.2e} from the backward error of "
+            f"the spectral zeros on the unfilled band exceeds tolerance "
+            f"{tol:g}")
+    z = _ma_roots(spec)[1]
+    r = np.abs(z)
+    rho = np.minimum(r, 1.0 / np.maximum(r, 1.0))[:, None]
+    theta = np.concatenate((hi, lo))
+    im = _im_li2(rho, theta - np.angle(z)[:, None])
+    sign = np.repeat((1.0, -1.0), len(hi))
+    return (width * mean_log - 2.0 * float((im @ sign).sum())) / math.pi
 
 
 def _full_band_power(psd: PsdSpec, nu):
     """F(nu) = nu - mean S on a full band, with mean S from psd_eval at m
     midpoints (j + 1/2) pi / m, a rule exact for S: for MA, m = len(b) and
     sum_j cos(k theta_j) = 0 for 0 < k < 2m; for samples, m cells between
-    the nodes, on each of which S is linear."""
+    the nodes, on each of which S is linear.  The points go in as a tuple:
+    for an MA spectrum at this few of them psd_eval's plain-Python Horner
+    pass costs less than its array pass."""
     m = len(psd.coeffs) if psd.form == "ma" else len(psd.values) - 1
-    theta = (np.arange(m) + 0.5) * (math.pi / m)
-    return nu - float(np.mean(psd_eval(psd, theta)))
+    s = psd_eval(psd, tuple((j + 0.5) * (math.pi / m) for j in range(m)))
+    return nu - math.fsum(s) / m
 
 
 def _filled_log_samples(spec: PsdSpec, edges, filled):
@@ -293,67 +417,35 @@ def _filled_log_samples(spec: PsdSpec, edges, filled):
     return float(np.diff(edges)[filled] @ (np.log(m) + g))
 
 
-def _band_integrals(psd: PsdSpec, nu, edges, filled, panel_counts):
-    """For each n in panel_counts, (int_U ln S, int_F (nu - S)) / pi by
-    16-point Gauss-Legendre on the panels of [0, pi] cut at n uniform steps
-    and at every edge, all from one psd_eval."""
-    grids = [np.unique(np.concatenate((np.linspace(0.0, math.pi, n + 1),
-                                       edges)))
-             for n in panel_counts]
-    mid = np.concatenate([0.5 * (g[:-1] + g[1:]) for g in grids])
-    half = np.concatenate([0.5 * np.diff(g) for g in grids])
-    in_f = filled[np.searchsorted(edges, mid) - 1]
-    s = psd_eval(psd, mid[:, None] + half[:, None] * _GL_X)
-    w = half[:, None] * _GL_W
-    ends = np.cumsum([0] + [len(g) - 1 for g in grids])
-    out = []
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        wl, sl, fl = w[lo:hi], s[lo:hi], in_f[lo:hi]
-        out.append((float(np.sum(wl[~fl] * np.log(sl[~fl]))) / math.pi,
-                    float(np.sum(wl[fl] * (nu - sl[fl]))) / math.pi))
-    return out
-
-
-def _quadrature_levels(psd: PsdSpec, nu, edges, filled):
-    """_band_integrals at _PANELS, 2 _PANELS, 4 _PANELS, ... panels, up to
-    _MAX_LEVELS levels.  The first two levels share one psd_eval, since
-    the agreement test needs both and most solves stop there."""
-    counts = [_PANELS << i for i in range(_MAX_LEVELS)]
-    for batch in (counts[:2], *([n] for n in counts[2:])):
-        yield from _band_integrals(psd, nu, edges, filled, batch)
+def _partial_band_power(psd: PsdSpec, nu, edges, filled):
+    """F(nu) on a partial band: for MA, the closed-form areas of nu - S
+    between the polished crossings; for samples, the midpoint rule from
+    psd_eval at each filled piece's midpoint, exact where S is linear."""
+    if psd.form == "ma":
+        c = _cosine_series(psd)
+        k = np.arange(1, len(c))
+        areas = _ma_areas(c, k, nu, edges, _cos_mid(edges, k))
+        return float(areas[filled].sum()) / math.pi
+    mid = 0.5 * (edges[:-1] + edges[1:])[filled]
+    return float(np.diff(edges)[filled] @ (nu - psd_eval(psd, mid))) / math.pi
 
 
 def _capacity(psd: PsdSpec, power, nu, edges, filled, tol):
-    """(C, power residual) at the level nu: Jensen's mean ln S for MA, the
-    linear pieces' log integral for samples, and the power check, from m
-    midpoints on a full band or from the quadrature levels, whose panels
-    double until two levels agree on both numbers: the capacity within
-    tol, the filled power (about P) within tol * max(1, P)."""
-    width = float(np.sum(np.diff(edges)[filled])) / math.pi
+    """(C, power residual) at the level nu: Jensen's mean ln S for MA, less
+    the dilogarithm's int_U ln S on a partial band, or the linear pieces'
+    log integral for samples; the power check is F(nu) from m midpoints on
+    a full band, or from _partial_band_power, held to tol * max(1, P)."""
+    width = float((edges[1:] - edges[:-1])[filled].sum()) / math.pi
+    full = bool(filled.all())
     if psd.form == "ma":
-        mean_log = _jensen_mean_log(psd, tol)
+        filled_log = mean_log = _jensen_mean_log(psd, tol)
+        if not full:
+            filled_log -= _unfilled_log(psd, mean_log, nu, edges, filled, tol)
     else:
         filled_log = _filled_log_samples(psd, edges, filled) / math.pi
-    full = bool(filled.all())
-    if full:
-        # U is empty
-        levels = [(0.0, _full_band_power(psd, nu))]
-    else:
-        levels = _quadrature_levels(psd, nu, edges, filled)
-    power_tol = tol * max(1.0, power)
-    prev = None
-    for unfilled_log, filled_power in levels:
-        if psd.form == "ma":
-            filled_log = mean_log - unfilled_log
-        capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
-        _check_floor(tol, capacity)
-        _check_floor(power_tol, filled_power)
-        if full or prev is not None and abs(capacity - prev[0]) <= tol \
-                and abs(filled_power - prev[1]) <= power_tol:
-            break
-        prev = capacity, filled_power
-    else:
-        raise ConvergenceError(
-            f"capacity quadrature did not reach tolerance {tol:g} after "
-            f"refinement up to {_PANELS << (_MAX_LEVELS - 1)} panels")
+    filled_power = (_full_band_power(psd, nu) if full
+                    else _partial_band_power(psd, nu, edges, filled))
+    capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
+    _check_floor(tol, capacity)
+    _check_floor(tol * max(1.0, power), filled_power)
     return capacity, abs(filled_power - power)

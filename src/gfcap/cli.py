@@ -21,13 +21,13 @@ from .feedback import (
     _linspace,
     chen_yanagi_curve,
     conjecture_check,
-    conjecture_margin,
     cover_pombra_bounds,
     default_alpha_grid,
     sandwich_failures,
     sk_root,
 )
 from .spectrum import (
+    PAPER_CHANNEL,
     ConditioningError,
     ConvergenceError,
     QuadratureConfig,
@@ -176,10 +176,17 @@ def cmd_counterexample(args):
                    "conjecture not violated at P=1",
     }
     if sweep is not None:
+        # each row is conjecture_margin(p); the P = 1 report already holds
+        # C(1), C(2) and sk_root(1), which the grid may hit at P = 0.5 and 1
+        capacities = {1.0: report.c_p, 2.0: report.c_2p}
         rows = []
-        for p in sweep:
-            sk, c_2p, _, violated = conjecture_margin(float(p), cfg)
-            rows.append([float(p), sk.rate_bits, c_2p, violated])
+        for p in map(float, sweep):
+            sk = report.sk if p == 1.0 else sk_root(p)
+            if 2.0 * p not in capacities:
+                capacities[2.0 * p] = nonfeedback_capacity(
+                    PAPER_CHANNEL, 2.0 * p, cfg).capacity_bits
+            c_2p = capacities[2.0 * p]
+            rows.append([p, sk.rate_bits, c_2p, sk.rate_bits - c_2p > 0])
         outputs["power_sweep"] = rows
     return {"power": 1.0}, outputs, verdicts
 

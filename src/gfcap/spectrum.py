@@ -15,9 +15,10 @@ from dataclasses import dataclass
 
 class ConvergenceError(RuntimeError):
     """Raised when a result cannot be certified to its stated tolerance:
-    the water-level Newton solve does not converge, the Jensen error bound
-    or the quadrature levels miss the tolerance, or the tolerance lies
-    below the roundoff floor of the numbers it is held to."""
+    the water-level Newton solve does not converge, an error bound of the
+    MA capacity (Jensen's, from spectral zeros near the unit circle, or the
+    dilogarithm's, from the backward error of the zeros) exceeds it, or the
+    tolerance lies below the roundoff floor of the numbers it is held to."""
 
 
 class ConditioningError(RuntimeError):
@@ -88,7 +89,8 @@ PAPER_CHANNEL = PsdSpec.ma((1.0, 1.0), 1.0)
 class QuadratureConfig:
     """The tolerance a capacity is certified to.  abs_tolerance is absolute
     on the capacity in bits and, scaled by max(1, P), on the power check
-    (the quadrature of the filled power against the budget P)."""
+    (the filled power, recomputed at the returned level, against the budget
+    P).  No capacity is a quadrature: the name is kept for the API."""
 
     abs_tolerance: float = 1e-10
 

@@ -21,28 +21,35 @@ and only the returned level's are polished, by Newton in theta itself.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
-and no quadrature ever sees the log singularity at a zero of S:
+and no capacity is a quadrature:
 
 - white: C = 0.5 log2(nu / N);
 - samples: S is linear between the nodes and crossings, and ln S has an
   antiderivative on each filled piece;
-- ma: Jensen's formula gives mean ln S from the roots of
-  B(z) = sum_k b_k z^k, the eigenvalues of its companion matrix, and
-  int_F ln S = pi mean ln S - int_U ln S, where S >= nu > 0 on the
-  unfilled set U, so int_U ln S is smooth.
+- ma(q >= 2), with MA(1) below: the roots z_j of B(z) = sum_k b_k z^k,
+  the eigenvalues of its companion matrix, are computed once per
+  spectrum.  Jensen's formula gives mean ln S from them, and
+  int_F ln S = pi mean ln S - int_U ln S over the unfilled set U.  With
+  rho_j = 1 / z_j outside the unit circle and conj(z_j) inside it,
+  ln S = mean ln S + sum_j ln |1 - rho_j e^{i theta}|^2, so
+  int_U ln S = |U| mean ln S - 2 sum_j sum_pieces
+  Im[Li2(rho_j e^{ib}) - Li2(rho_j e^{ia})] by the dilogarithm Li2.
+  S >= nu > 0 on U, so no edge of U sits on a zero of S.
 
-Only a partial MA(q >= 2) or samples band reaches a quadrature: one
-composite Gauss-Legendre pass over [0, pi], whose panel edges include the
-solve's breakpoints, integrates ln S over U and, as a check on the solve
-that shares none of its code, nu - S over F: the power residual.  The
-panels double until two levels agree; the first two levels are evaluated
-from one psd_eval call.
-A full band has U empty, so its capacity is the closed form above, and
-its power check is nu - mean S from psd_eval at m midpoints
-(j + 1/2) pi / m, a rule exact for S: m = len(b) for MA, whose cosine
-series stops below degree 2m, and for samples the m cells between the
-nodes, on each of which S is linear.  A spectrum that vanishes on a band
-has infinite capacity and is rejected.
+Both are certified: Jensen's formula by the distance within which each
+root is known, where a root near the unit circle could lie on its other
+side; the dilogarithm by the backward error of the roots,
+max |b_q prod_j (x - z_j) - B(x)| over the circle, sampled at 4(q + 1)
+roots of unity and bounded between them by Bernstein's inequality, which
+moves ln S on U by at most twice that over sqrt(nu / sigma2).
+The power check is F(nu) against P: on a full band nu - mean S from
+psd_eval at m midpoints (j + 1/2) pi / m, a rule exact for S (m = len(b)
+for MA, whose cosine series stops below degree 2m, and for samples the m
+cells between the nodes, on each of which S is linear); on a partial MA
+band the closed-form areas of nu - S between the polished crossings,
+where the Newton iterates used the arccos ones; on a partial samples band
+the midpoint rule from psd_eval on each filled piece, exact for linear S.  A spectrum that vanishes on a band has
+infinite capacity and is rejected.
 
 An MA(1) spectrum, taps (b0, b1), the paper's channel among them, is
 solved in scalar closed forms, with no eigensolve and no quadrature.  With
@@ -63,7 +70,8 @@ This module solves white noise and MA(1) in plain Python, with tuples for
 the breakpoints and flags, and does not import numpy.  Every other
 spectrum goes to its array half, _waterfill_arrays, imported on first
 use: the full-band test on those forms, the crossings and their polish,
-the sampled start, the Newton loop, Jensen's formula and the quadrature.
+the sampled start, the Newton loop, the roots of B with Jensen's formula
+and the dilogarithm, and the power checks.
 """
 
 from __future__ import annotations

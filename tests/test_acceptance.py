@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gfcap._waterfill_arrays import _jensen_mean_log
+from gfcap._waterfill_arrays import _ma_roots
 from gfcap.cli import main
 from gfcap.feedback import conjecture_check, sk_poly, sk_root
 from gfcap.simulator import (
@@ -29,7 +29,7 @@ PI = math.pi
 
 
 def clear_caches():
-    _jensen_mean_log.cache_clear()
+    _ma_roots.cache_clear()
 
 
 def ok(n, message):

@@ -183,6 +183,41 @@ class TestCounterexampleCommand:
         assert distinct_keys("--power-sweep", "0.5..2:10") \
             <= report_keys + 10
 
+    def test_power_sweep_reuses_the_report(self, capsys, monkeypatch):
+        """The grid 0.5..2:4 hits P = 0.5, whose C(2P) is the report's C(1),
+        and P = 1, whose C(2) and sk_root(1) the report holds: no capacity
+        and no sk_root is solved twice, and the rows still equal
+        conjecture_check's."""
+        solved = {"capacity": [], "sk_root": []}
+        solve, root = feedback.nonfeedback_capacity, feedback.sk_root
+
+        def counting_capacity(psd, power, config=None):
+            solved["capacity"].append((psd, float(power)))
+            return solve(psd, power, config)
+
+        def counting_sk_root(power):
+            solved["sk_root"].append(float(power))
+            return root(power)
+
+        for owner in (feedback, cli):
+            monkeypatch.setattr(owner, "nonfeedback_capacity",
+                                counting_capacity)
+            monkeypatch.setattr(owner, "sk_root", counting_sk_root)
+        code, doc, _ = run_json(capsys, "counterexample",
+                                "--power-sweep", "0.5..2:4")
+        monkeypatch.undo()
+        assert code == 0
+        for calls in solved.values():
+            assert len(calls) == len(set(calls))
+        assert sorted(solved["sk_root"]) == [0.5, 1.0, 1.5, 2.0]
+        rows = doc["outputs"]["power_sweep"]
+        assert [row[0] for row in rows] == [0.5, 1.0, 1.5, 2.0]
+        for p, rate, c2p, violated in rows:
+            rep = conjecture_check(p)
+            assert [rate, c2p, violated] == [rep.sk_rate,
+                                             rep.conjecture_bound,
+                                             rep.violated]
+
 
 class TestSimulateCommand:
     def test_deterministic_json(self, capsys, tmp_path):

@@ -428,10 +428,13 @@ def counted_calls(monkeypatch, owner, name):
     return calls
 
 
-def counted_chebroots(monkeypatch):
-    """Record the chebroots calls of waterfill's array half, one eigensolve
-    per level evaluation of a partial MA(q >= 2) band."""
-    return counted_calls(monkeypatch, arrays.chebyshev, "chebroots")
+def counted_level_eigensolves(monkeypatch, *specs):
+    """Record the eigensolves of waterfill's array half, one per level
+    evaluation of a partial MA(q >= 2) band, once the roots of B that
+    Jensen's formula and the dilogarithm read are cached for specs."""
+    for spec in specs:
+        arrays._ma_roots(spec)
+    return counted_calls(monkeypatch, np.linalg, "eigvals")
 
 
 def test_gauss_legendre_literals_equal_leggauss():
@@ -440,8 +443,6 @@ def test_gauss_legendre_literals_equal_leggauss():
     nodes, weights = np.polynomial.legendre.leggauss(16)
     assert waterfill._GL_NODES == tuple(nodes.tolist())
     assert waterfill._GL_WEIGHTS == tuple(weights.tolist())
-    assert np.array_equal(arrays._GL_X, nodes)
-    assert np.array_equal(arrays._GL_W, weights)
 
 
 def test_paper_channel_work_budget(monkeypatch):
@@ -462,14 +463,14 @@ def test_paper_channel_work_budget(monkeypatch):
 ], ids=["ma1_neg", "ma1_nonmin", "ma1_neg_nonmin", "ma1_full"])
 def test_ma1_work_budget(monkeypatch, taps, sigma2, power):
     """An MA(1) solve is scalar closed forms: no eigensolve, no sampled
-    start, no quadrature, and one psd_eval for the power check, over the 16
-    Gauss-Legendre nodes of the filled arc or the 2 midpoints of a full
-    band."""
+    start, no roots of B, no dilogarithm over an unfilled band, and one
+    psd_eval for the power check, over the 16 Gauss-Legendre nodes of the
+    filled arc or the 2 midpoints of a full band."""
     spec = PsdSpec.ma(taps, sigma2)
-    arrays._jensen_mean_log.cache_clear()
+    arrays._ma_roots.cache_clear()
     counts = [counted_calls(monkeypatch, *target) for target in (
-        (arrays.chebyshev, "chebroots"), (np.linalg, "eigvals"),
-        (arrays, "_sampled_level"), (arrays, "_band_integrals"),
+        (np.linalg, "eigvals"), (arrays, "_sampled_level"),
+        (arrays, "_unfilled_log"), (arrays, "_ma_roots"),
         (arrays, "_jensen_mean_log"))]
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
@@ -489,11 +490,11 @@ def test_ma1_work_budget(monkeypatch, taps, sigma2, power):
 def test_full_band_work_budget(monkeypatch, spec, power):
     """At nu0 = mean S + P >= sigma2 (sum |b_k|)^2 >= max S the whole band
     fills and nu0 is the level exactly, so no crossing is searched for
-    (no chebroots call).  A full band never reaches the quadrature: one
-    psd_eval at m midpoints, m = len(b) for MA and the number of cells for
-    samples, serves the power check.  White noise fills at every power,
-    with no psd_eval at all, also where P is below half an ulp of N and
-    nu0 rounds to N."""
+    (no level eigensolve).  A full band never reaches the dilogarithm over
+    an unfilled band: one psd_eval at m midpoints, m = len(b) for MA and
+    the number of cells for samples, serves the power check.  White noise
+    fills at every power, with no psd_eval at all, also where P is below
+    half an ulp of N and nu0 rounds to N."""
     if spec.form == "white":
         mean = bound = spec.level
         points = None
@@ -508,11 +509,13 @@ def test_full_band_work_budget(monkeypatch, spec, power):
         points = len(v) - 1
     assert mean + power >= bound
 
-    def no_quadrature(*args):
-        raise AssertionError("a full band reached the quadrature")
+    def no_unfilled_band(*args):
+        raise AssertionError("a full band reached the unfilled-band integral")
 
-    monkeypatch.setattr(arrays, "_band_integrals", no_quadrature)
-    roots = counted_chebroots(monkeypatch)
+    monkeypatch.setattr(arrays, "_unfilled_log", no_unfilled_band)
+    roots = counted_level_eigensolves(
+        monkeypatch, *([spec] if spec.form == "ma" and len(spec.coeffs) > 2
+                       else []))
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
     assert roots == []
@@ -598,8 +601,9 @@ def test_partial_band_level_budget(monkeypatch, power):
     crossings: at most 4 level evaluations, each one eigensolve.  Here on
     S = |1 + z^2|^2, the paper channel at twice the speed, with the same
     level.  The paper channel itself, MA(1), takes none."""
-    roots = counted_chebroots(monkeypatch)
-    sol = nonfeedback_capacity(PsdSpec.ma((1.0, 0.0, 1.0)), power)
+    spec = PsdSpec.ma((1.0, 0.0, 1.0))
+    roots = counted_level_eigensolves(monkeypatch, spec)
+    sol = nonfeedback_capacity(spec, power)
     assert len(sol.band_crossings) == 2
     assert 1 <= len(roots) <= 4
     roots.clear()
@@ -611,11 +615,9 @@ def test_partial_band_level_budget(monkeypatch, power):
 def test_conjecture_check_level_budget(monkeypatch):
     """The 81 capacity solves of the counterexample are all on the paper
     channel, MA(1), so none of them takes an eigensolve."""
-    roots = counted_chebroots(monkeypatch)
+    arrays._ma_roots.cache_clear()
     eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
-    arrays._jensen_mean_log.cache_clear()
     conjecture_check(1.0)
-    assert roots == []
     assert eigvals == []
 
 
@@ -916,7 +918,11 @@ def test_theta_polish_matches_chebval_polish():
         s = psd_eval(spec, np.linspace(0.0, PI, 513))
         nu = float(rng.uniform(s.min(), s.max()))
         ref = ma_crossings_chebval(c, nu)
-        got = arrays._polish_crossings(c, nu, arrays._ma_crossings(c, nu))
+        # in increasing theta: chebroots sorts its roots, the colleague
+        # matrix's crossings come in LAPACK's order
+        got = np.sort(arrays._polish_crossings(c, nu,
+                                               arrays._ma_crossings(c)(nu)))
+        ref = np.sort(ref)
         assert got.shape == ref.shape
         assert np.all(np.abs(got - ref) <= 1e-13)
         count += len(got)
@@ -927,7 +933,7 @@ def test_jensen_eigensolve_matches_np_roots():
     nonzero_bounds = 0
     for spec in random_ma_spectra(62, 600):
         mean_log, bound, scale = jensen_polyval(spec)
-        arrays._jensen_mean_log.cache_clear()
+        arrays._ma_roots.cache_clear()
         got = arrays._jensen_mean_log(spec, 1.0)
         assert got == pytest.approx(mean_log, abs=4 * EPS * max(scale, 1.0))
         # the two error bounds agree within a factor of 2: tol = 2 bound
@@ -945,7 +951,7 @@ def test_jensen_eigensolve_matches_np_roots():
 def test_multiple_unit_circle_zeros_exceed_both_bounds(taps):
     spec = PsdSpec.ma(taps)
     assert jensen_polyval(spec)[1] > 1e-10
-    arrays._jensen_mean_log.cache_clear()
+    arrays._ma_roots.cache_clear()
     with pytest.raises(ConvergenceError):
         arrays._jensen_mean_log(spec, 1e-10)
 
@@ -1038,3 +1044,135 @@ def test_ma1_capacity_property(taps, sigma2, log_power):
     for theta in sol.band_crossings:
         assert abs(s(theta) - sol.water_level) <= 1e-12 * max(
             sol.water_level, smax)
+
+
+# ---- MA(q >= 2) partial bands: the dilogarithm on the roots of B ---------
+
+def test_colleague_crossings_equal_chebroots():
+    """The colleague matrix is built once per spectrum, and each level sets
+    only its constant-term entry, by chebcompanion's own operations, so the
+    crossings are numpy chebroots' bit for bit and the Newton iterates, and
+    so nu, do not move.  Series of degree 0 and 1 take no matrix."""
+    rng = np.random.default_rng(63)
+    window = arrays._ROOT_WINDOW
+
+    def reference(c, nu):
+        p = c.copy()
+        p[0] -= nu
+        x = chebyshev.chebroots(p)
+        return np.sort(np.arccos(np.clip(
+            x.real[(np.abs(x.imag) <= window)
+                   & (np.abs(x.real) <= 1.0 + window)], -1.0, 1.0)))
+
+    count = 0
+    for spec in random_ma_spectra(64, 300):
+        c = arrays._cosine_series(spec)
+        crossings = arrays._ma_crossings(c)
+        s = psd_eval(spec, np.linspace(0.0, PI, 257))
+        for nu in rng.uniform(s.min(), s.max(), 3):
+            got = np.sort(crossings(nu))
+            assert np.array_equal(got, reference(c, nu))
+            count += len(got)
+    assert count >= 1000
+    for c in (np.array([2.0]), np.array([2.0, 1.5])):
+        for nu in (0.7, 2.0, 3.1):
+            assert np.array_equal(arrays._ma_crossings(c)(nu),
+                                  reference(c, nu))
+
+
+def im_li2_points():
+    """(r, phi) over the closed unit disk, uniform in area with phi in
+    (-2 pi, 2 pi), the range of arg(rho) + theta; on the unit circle; and
+    at r -> 1 with tiny phi, where w -> 1, and phi = 0 itself."""
+    rng = np.random.default_rng(1414)
+    r = [np.sqrt(rng.uniform(0.0, 1.0, 10000)), np.ones(4001)]
+    phi = [rng.uniform(-2 * PI, 2 * PI, 10000), np.linspace(-PI, PI, 4001)]
+    tiny = np.concatenate((np.logspace(-12, 0.49, 500),
+                           -np.logspace(-12, 0.49, 100), [0.0]))
+    for radius in (1.0, 1.0 - 1e-16, 1.0 - 1e-12, 1.0 - 1e-8, 1.0 - 1e-4,
+                   0.99, 0.9, 0.6, 0.5, 0.3, 0.0):
+        r.append(np.full(len(tiny), radius))
+        phi.append(tiny)
+    return np.concatenate(r), np.concatenate(phi)
+
+
+def test_im_li2_against_spence_and_scalar_li2():
+    """The vectorised Im Li2(r e^{i phi}) meets scipy's spence,
+    Li2(w) = spence(1 - w) with 1 - w in its half-angle form, to 1e-14,
+    and waterfill's scalar _li2 to 1e-15, over the closed disk, the unit
+    circle and w -> 1, with Im Li2(1) = 0 and no log of 0 taken."""
+    r, phi = im_li2_points()
+    got = arrays._im_li2(r, phi)
+    v = ((1.0 - r) + 2.0 * r * np.sin(0.5 * phi) ** 2
+         - 1j * (r * np.sin(phi)))
+    assert np.max(np.abs(got - spence(v).imag)) <= 1e-14
+    w = r * np.cos(phi) + 1j * (r * np.sin(phi))
+    scalar = np.array([waterfill._li2(complex(a), complex(b)).imag
+                       for a, b in zip(w, v)])
+    assert np.max(np.abs(got - scalar)) <= 1e-15
+    assert arrays._im_li2(np.array([1.0]), np.array([0.0]))[0] == 0.0
+
+
+@st.composite
+def partial_ma_bands(draw):
+    """An MA(2..16) spectrum from roots of B of modulus 0.2 to 0.9, real
+    or in conjugate pairs, the first of them (or its pair) reflected
+    outside the unit circle when drawn so, and the fraction of
+    max S - mean S to spend as power, which leaves the band partial."""
+    q = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = []
+    while len(roots) < q:
+        r = rng.uniform(0.2, 0.9)
+        if len(roots) <= q - 2 and rng.uniform() < 0.5:
+            z = r * np.exp(1j * rng.uniform(0.1, PI - 0.1))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(r * rng.choice((-1.0, 1.0)))
+    if draw(st.booleans()):
+        roots[0] = 1.0 / np.conj(roots[0])
+        if np.iscomplex(roots[0]):
+            roots[1] = np.conj(roots[0])
+    # np.poly lists z^q first; tap b_k multiplies z^k
+    taps = np.real(np.poly(roots))[::-1]
+    return (PsdSpec.ma(taps, draw(st.floats(0.1, 10.0))),
+            draw(st.floats(0.01, 0.9)))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(case=partial_ma_bands())
+def test_partial_ma_capacity_property(case):
+    """On a partial MA(q >= 2) band the dilogarithm's capacity meets
+    scipy's quad of ln(nu / S) over the filled set to 1e-10, and the power
+    check holds to 1e-10 max(1, P)."""
+    spec, share = case
+    oracle = Oracle(spec)
+    mean = spec.sigma2 * float(np.sum(np.square(spec.coeffs)))
+    power = share * (float(oracle.vals.max()) - mean)
+    sol = nonfeedback_capacity(spec, power)
+    assert sol.band_crossings
+    assert sol.capacity_bits == pytest.approx(
+        oracle.capacity(sol.water_level), abs=1e-10)
+    assert sol.power_residual <= 1e-10 * max(1.0, power)
+
+
+def test_perturbed_roots_raise(monkeypatch):
+    """The dilogarithm integrates ln S of the computed roots, so roots off
+    by 1e-6 must not pass: their sampled backward error bounds the
+    capacity's error far above the tolerance, and the solve raises instead
+    of returning a number.  Jensen's bound alone passes them, since the
+    moved root lies far from the unit circle."""
+    spec = PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8))
+    oracle = Oracle(spec)
+    mean = spec.sigma2 * float(np.sum(np.square(spec.coeffs)))
+    power = 0.2 * (float(oracle.vals.max()) - mean)
+    sol = nonfeedback_capacity(spec, power)
+    assert sol.band_crossings
+    b, z = arrays._ma_roots(spec)
+    moved = z.copy()
+    far = int(np.argmax(np.abs(np.abs(z) - 1.0)))
+    moved[far] += 1e-6
+    monkeypatch.setattr(arrays, "_ma_roots", lambda psd: (b, moved))
+    arrays._jensen_mean_log(spec, 1e-10)
+    with pytest.raises(ConvergenceError, match="backward error"):
+        nonfeedback_capacity(spec, power)
