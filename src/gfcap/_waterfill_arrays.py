@@ -2,9 +2,11 @@
 
 waterfill solves white noise and MA(1) in scalar closed forms and imports
 this module on first use, for everything else: the level's full-band test
-on these forms, the crossings and their polish, the sampled start, the
-Newton loop, the roots of B with Jensen's formula and the dilogarithm, and
-the power checks.  The method is set out in waterfill's docstring.
+on these forms, the FFT samples of B and their minimum-phase certificate,
+the sampled start, the tracked crossings and the colleague matrix's check
+of them, the Newton loop, the roots of B with Jensen's formula and the
+dilogarithm, and the power checks.  The method is set out in waterfill's
+docstring.
 """
 
 from __future__ import annotations
@@ -22,10 +24,22 @@ _NEWTON_MAX_ITER = 100
 # crossings.  Extra candidates are harmless (each band is decided by the
 # sign of S - nu at its midpoint), so the window is generous.
 _ROOT_WINDOW = 1e-6
-# The Newton solve of a partial MA band starts from the discrete water level
-# of S at this many midpoints of [0, pi]
-_START_SAMPLES = 64
-_START_THETA = (np.arange(_START_SAMPLES) + 0.5) * (math.pi / _START_SAMPLES)
+# The samples of B are one FFT of the taps at the first power of two from
+# this size that exceeds 4q, or at four times that where the first does not
+# certify the winding number
+_FFT_SIZE = 256
+# Cap on the Newton steps of one tracked crossing; a bisection of the
+# sample spacing down to 4 eps theta takes at most about 60
+_CROSSING_MAX_ITER = 60
+# Tracked crossings pass the colleague matrix's check where their cosines
+# agree with its roots to this: compared in cos(theta), the check allows for
+# arccos, which loses digits next to 0 and pi
+_CHECK_WINDOW = 1e-8
+
+
+class _LostCrossing(Exception):
+    """A tracked crossing did not converge; the level solve falls back to
+    the colleague matrix's crossings."""
 
 
 def _cosine_series(spec: PsdSpec):
@@ -79,29 +93,125 @@ def _ma_crossings(c):
     return crossings
 
 
-def _polish_crossings(c, nu, theta):
-    """The crossings theta of S = nu polished by two Newton steps in theta
-    itself, where a crossing near 0 or pi keeps the digits that arccos
-    loses.  A step is kept only where it lowers |S - nu|."""
-    gap0 = c[0] - nu
-    k = np.arange(1, len(c))
-    kc = k * c[1:]
+class _Series:
+    """The cosine series c of S in plain Python, for the few points where
+    numpy's call overhead would cost more than the sums: the Newton solve
+    of one crossing, and the area of nu - S on one piece."""
 
-    def gap_and_slope(theta):
-        arg = theta[:, None] * k
-        return gap0 + np.cos(arg) @ c[1:], -(np.sin(arg) @ kc)
+    def __init__(self, c):
+        k = np.arange(1, len(c))
+        self.c0 = float(c[0])
+        self.slopes = list(zip(c[1:].tolist(), (k * c[1:]).tolist()))
+        self.areas = list(zip(k.tolist(), (2.0 * c[1:] / k).tolist()))
+        # the rounding of S - nu summed over the series, over its sum |c_k|
+        self.rounding = 2.0 * len(c) * _EPS
+        self.size = float(np.abs(c).sum())
 
-    gap, slope = gap_and_slope(theta)
-    for _ in range(2):
-        # a zero slope gives a step to 0 or pi, or nan, and nan is never kept
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.minimum(np.maximum(theta - gap / slope, 0.0), math.pi)
-            step_gap, step_slope = gap_and_slope(step)
-        better = np.abs(step_gap) < np.abs(gap)
-        theta = np.where(better, step, theta)
-        gap = np.where(better, step_gap, gap)
-        slope = np.where(better, step_slope, slope)
-    return theta
+    def crossing(self, nu, theta, lo, hi, rising):
+        """(theta, S'(theta)) at the crossing of S = nu in [lo, hi], where
+        S - nu rises through 0 if rising and falls otherwise: Newton in
+        theta itself from theta, where a crossing next to 0 or pi keeps the
+        digits that arccos loses.  cos k theta and sin k theta come from the
+        rotation e^{i(k+1) theta} = e^{ik theta} e^{i theta}, whose rounding
+        grows only linearly in k.  A step that leaves the bracket the signs
+        of S - nu leave bisects it instead.  The solve stops once |S - nu|
+        is within the rounding of the sum, 2 (q + 1) eps (sum |c_k| + nu),
+        or a step within 4 eps theta, or the bracket within 4 eps of its
+        top, and raises _LostCrossing after _CROSSING_MAX_ITER steps."""
+        gap0 = self.c0 - nu
+        floor = self.rounding * (self.size + nu)
+        for _ in range(_CROSSING_MAX_ITER):
+            w = complex(math.cos(theta), math.sin(theta))
+            z, gap, slope = w, gap0, 0.0
+            for ck, kck in self.slopes:
+                gap += ck * z.real
+                slope -= kck * z.imag
+                z *= w
+            if (gap < 0.0) == rising:
+                lo = theta
+            else:
+                hi = theta
+            # a zero slope gives nan, which fails every test below: bisect
+            step = gap / slope if slope else math.nan
+            if abs(gap) <= floor or abs(step) <= 4.0 * _EPS * theta:
+                return (theta - step if lo <= theta - step <= hi
+                        else theta), slope
+            theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
+            if hi - lo <= 4.0 * _EPS * hi:
+                return theta, slope
+        raise _LostCrossing(f"crossing of S = {nu!r} near {theta!r}")
+
+    def area(self, nu, a, b):
+        """The area of nu - S on [a, b], as _ma_areas forms it."""
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        acc = 0.0
+        for k, ck in self.areas:
+            acc += ck * math.cos(k * mid) * math.sin(k * half)
+        return 2.0 * (nu - self.c0) * half - acc
+
+
+def _polish(c, nu, edges, filled):
+    """The edges where the filled flag flips, each polished by
+    _Series.crossing from its arccos value inside the bracket of its
+    neighbouring edges, the side of the band read from the flags; an edge
+    whose Newton solve is lost keeps its arccos value.  Edges where the
+    flag does not flip bound no band and are dropped."""
+    series = _Series(c)
+    polished = []
+    for i in np.flatnonzero(filled[1:] != filled[:-1]).tolist():
+        theta = float(edges[i + 1])
+        try:
+            theta = series.crossing(nu, theta, float(edges[i]),
+                                    float(edges[i + 2]), bool(filled[i]))[0]
+        except _LostCrossing:
+            pass
+        polished.append(theta)
+    return np.array(polished)
+
+
+def _tracked_terms(c, s):
+    """terms(nu) -> (F(nu), F'(nu), edges, filled), as lists, from
+    crossings tracked on the samples s of S at theta_n = n pi / (len(s) - 1)
+    over [0, pi], all in plain Python past one sign test.  Each sign change
+    of s - nu brackets a crossing, which _Series.crossing solves from the
+    crossing in the same bracket at the previous level, moved by its
+    first-order shift (nu - nu_prev) / S', or else from the secant of the
+    bracket's two samples.  The flags alternate from that of the first
+    sample, and each filled piece adds its closed-form area.  A band
+    between two samples is missed; the colleague matrix's check at the
+    converged level catches that."""
+    series = _Series(c)
+    spacing = math.pi / (len(s) - 1)
+    values = s.tolist()
+    last = {}
+
+    def terms(nu):
+        nonlocal last
+        below = s < nu
+        found = {}
+        for i in np.flatnonzero(below[1:] != below[:-1]).tolist():
+            lo, hi = i * spacing, (i + 1) * spacing
+            theta = math.nan
+            if i in last:
+                theta, slope, level = last[i]
+                theta = theta + (nu - level) / slope if slope else math.nan
+            if not lo < theta < hi:
+                a, b = values[i] - nu, values[i + 1] - nu
+                theta = lo + spacing * a / (a - b)
+            theta, slope = series.crossing(nu, theta, lo, hi, bool(below[i]))
+            found[i] = theta, slope, nu
+        last = found
+        edges = [0.0, *(theta for theta, _, _ in found.values()), math.pi]
+        first = bool(below[0])
+        filled = [first != (j % 2 == 1) for j in range(len(edges) - 1)]
+        area = width = 0.0
+        for a, b, inside in zip(edges, edges[1:], filled):
+            if inside:
+                area += series.area(nu, a, b)
+                width += b - a
+        return area / math.pi, width / math.pi, edges, filled
+
+    return terms
 
 
 def _sampled_level(s, power):
@@ -137,15 +247,16 @@ def _sorted_unique(x):
 
 
 def _ma_pieces(c):
-    """(split, pieces) for an MA spectrum with cosine series c.
-    split(nu, theta) sorts 0, pi and the crossings theta into the edges of
-    pieces and flags each piece filled by the sign of nu - S at its
-    midpoint, so a tangent or spurious root cannot flip a band;
-    pieces(nu) -> (edges, filled, areas) adds the area of nu - S on each
-    piece, in closed form."""
-    # a trailing term below eps sum |c_k| is lost in S's rounding, but as the
-    # leading coefficient its reciprocal scales the crossings' colleague
-    # matrix and loses them (from a tap ratio of about 1e-26), so it is dropped
+    """(crossings, split, pieces) for an MA spectrum with cosine series c.
+    crossings is _ma_crossings of c without its trailing terms up to
+    eps sum |c_k|: such a term is lost in S's rounding, but as the leading
+    coefficient its reciprocal scales the colleague matrix and loses the
+    crossings (from a tap ratio of about 1e-26).  split(nu, theta) sorts 0,
+    pi and the crossings theta into the edges of pieces and flags each
+    piece filled by the sign of nu - S at its midpoint, so a tangent or
+    spurious root cannot flip a band; pieces(nu) -> (edges, filled, areas)
+    adds the area of nu - S on each piece between crossings(nu), in closed
+    form."""
     kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
     crossings = _ma_crossings(c[:kept[-1] + 1])
     k = np.arange(1, len(c))
@@ -159,7 +270,7 @@ def _ma_pieces(c):
         edges, filled, cos_mid = split(nu, crossings(nu))
         return edges, filled, _ma_areas(c, k, nu, edges, cos_mid)
 
-    return split, pieces
+    return crossings, split, pieces
 
 
 def _samples_pieces(values):
@@ -197,37 +308,25 @@ def _mean_and_bound(spec: PsdSpec):
     return float((v.sum() - 0.5 * (v[0] + v[-1])) / (len(v) - 1)), float(v.max())
 
 
-def _solve_level(spec: PsdSpec, power: float):
-    """The water level nu of an MA(q != 1) or samples spectrum, with the
-    breakpoints and filled flags of its pieces: a full band's nu0 first,
-    else Newton on the convex F from a start at or above the root, as
-    waterfill's docstring sets out.
-
-    The terms summed into F are bounded by nu + bound, where bound is max S
-    for samples and, for MA, sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|.  So
-    the rounding error of F is a few ulps of (nu + bound) times F', and its
-    root is only determined to a few ulps of nu + bound: the solve stops
-    once the step falls to that, or once the computed excess F(nu) - P is
-    no longer positive.  An unconverged nu is never returned.
-    """
-    mean, bound = _mean_and_bound(spec)
-    nu0 = nu = mean + power
-    if spec.form != "samples" and nu0 >= bound:
-        return nu0, np.array([0.0, math.pi]), np.array([True])
-    if spec.form == "ma":
-        c = _cosine_series(spec)
-        split, pieces = _ma_pieces(c)
-        s = c[0] + np.cos(_START_THETA[:, None] * np.arange(1, len(c))) @ c[1:]
-        nu = min(_sampled_level(s, power), nu0)
-    else:
-        pieces = _samples_pieces(spec.values)
-
+def _terms(pieces):
+    """terms(nu) -> (F(nu), F'(nu), edges, filled) from pieces(nu): the
+    filled areas and the filled measure, each over pi."""
     def terms(nu):
         edges, filled, areas = pieces(nu)
         return (float(areas[filled].sum()) / math.pi,
                 float((edges[1:] - edges[:-1])[filled].sum()) / math.pi,
                 edges, filled)
 
+    return terms
+
+
+def _newton(terms, nu, nu0, power, bound):
+    """Newton on the convex F from terms, as _solve_level sets out: from a
+    start nu below the root, one step up, which convexity puts at or above
+    it (capped at nu0); then down, monotonically, until the step falls to
+    4 eps (nu + bound) or the excess F(nu) - P is no longer positive.
+    Returns (nu, F(nu), F'(nu), edges, filled); raises ConvergenceError
+    after _NEWTON_MAX_ITER steps."""
     filled_power, slope, edges, filled = terms(nu)
     if nu < nu0 and filled_power < power:
         # below the root: the tangent there meets P at or above it
@@ -247,9 +346,119 @@ def _solve_level(spec: PsdSpec, power: float):
         raise ConvergenceError(
             f"water-level Newton solve did not converge in "
             f"{_NEWTON_MAX_ITER} iterations (last level {nu!r})")
-    if spec.form == "ma" and len(edges) > 2:
-        edges, filled, _ = split(nu, _polish_crossings(c, nu, edges[1:-1]))
+    return nu, filled_power, slope, edges, filled
+
+
+def _ma_level(spec: PsdSpec, power, nu0, bound):
+    """(nu, edges, filled) on a partial MA(q >= 2) band.  Newton starts from
+    the discrete water level of the FFT samples of S over the circle
+    (capped at nu0) and runs on _tracked_terms.  One colleague eigensolve
+    at the converged level checks the tracked crossings: its real roots in
+    [-1, 1] must match them one to one, within _CHECK_WINDOW in
+    cos(theta), so the flips agree in number and place and no band was
+    missed.  Then F from the tracked edges is exact, and the level must
+    pass the stop test on both sides, |F(nu) - P| <= 4 eps (nu + bound) F'.
+    A lost crossing reruns Newton from the sampled start, and any other
+    miss from the tracked level (at or above the root where a band was
+    missed, since F then falls short), on the colleague matrix's crossings
+    at every step; its returned flips are polished by Newton in theta."""
+    c = _cosine_series(spec)
+    crossings, split, pieces = _ma_pieces(c)
+    s = spec.sigma2 * np.abs(_ma_samples(spec)[0]) ** 2
+    # the samples of the whole circle: the inner ones of the half twice
+    nu = min(_sampled_level(np.concatenate((s, s[1:-1])), power), nu0)
+    try:
+        level, filled_power, slope, edges, filled = _newton(
+            _tracked_terms(c, s), nu, nu0, power, bound)
+    except (_LostCrossing, ConvergenceError):
+        pass
+    else:
+        check = np.sort(crossings(level))
+        if (len(check) == len(edges) - 2
+                and np.all(np.abs(np.cos(check) - np.cos(edges[1:-1]))
+                           <= _CHECK_WINDOW)
+                and abs(filled_power - power)
+                <= 4.0 * _EPS * (level + bound) * slope):
+            return level, np.array(edges), np.array(filled)
+        nu = level
+    nu, _, _, edges, filled = _newton(_terms(pieces), nu, nu0, power, bound)
+    if len(edges) > 2:
+        edges, filled, _ = split(nu, _polish(c, nu, edges, filled))
     return nu, edges, filled
+
+
+def _solve_level(spec: PsdSpec, power: float):
+    """The water level nu of an MA(q != 1) or samples spectrum, with the
+    breakpoints and filled flags of its pieces: a full band's nu0 first,
+    else Newton on the convex F from a start at or above the root, as
+    waterfill's docstring sets out; _ma_level solves a partial MA band.
+
+    The terms summed into F are bounded by nu + bound, where bound is max S
+    for samples and, for MA, sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|.  So
+    the rounding error of F is a few ulps of (nu + bound) times F', and its
+    root is only determined to a few ulps of nu + bound: the solve stops
+    once the step falls to that, or once the computed excess F(nu) - P is
+    no longer positive.  An unconverged nu is never returned.
+    """
+    mean, bound = _mean_and_bound(spec)
+    nu0 = mean + power
+    if spec.form == "ma":
+        if nu0 >= bound:
+            return nu0, np.array([0.0, math.pi]), np.array([True])
+        return _ma_level(spec, power, nu0, bound)
+    nu, _, _, edges, filled = _newton(_terms(_samples_pieces(spec.values)),
+                                      nu0, nu0, power, bound)
+    return nu, edges, filled
+
+
+@lru_cache(maxsize=256)
+def _ma_samples(spec: PsdSpec):
+    """(values, rounding, winding) for an MA spectrum: values[n] = B(x_n) at
+    x_n = e^{-i theta_n}, theta_n = 2 pi n / N for n = 0..N/2, the real FFT
+    of the taps, with N a power of two above 4q (so sigma2 |values[n]|^2
+    samples S over [0, pi]; the other half of the circle holds their
+    conjugates); rounding, 8 log2(N) eps sum |b_k|, bounds the FFT's error
+    at each sample, each of its log2 N stages adding at most a few eps of
+    the sum of its inputs' moduli (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2002, ch. 24); winding is the winding number of
+    B about 0 on the unit circle, or None where the samples do not certify
+    it.  Cached per spectrum, like _ma_roots.
+
+    The certificate: on the arc between two neighbouring samples B is
+    within (h^2 / 8) max |B''| <= (pi q / N)^2 M / 2 of the chord between
+    its ends, h = 2 pi / N, by Bernstein's inequality twice, where M bounds
+    max |B| on the circle (the largest sample, plus rounding, over
+    1 - pi q / N, by Bernstein's inequality once).  The computed chords are
+    within the rounding of the true ones, and a chord whose ends have
+    moduli at least r and turn by Delta < pi keeps r cos(Delta / 2) from 0.
+    So where min |values| cos(max |Delta| / 2) exceeds
+    (pi q / N)^2 M / 2 plus the rounding, B has no zero on the circle and
+    winds about 0 as the polygon of the samples does: sum Delta / pi
+    times, each Delta the principal angle of values[n + 1] / values[n],
+    the conjugate half adding as much again.  Winding 0 leaves no zero of
+    B in the closed unit disk, and then mean ln S = ln(sigma2 b0^2)
+    exactly.  N is tried at the first power of two from _FFT_SIZE above 4q,
+    then at four times it, where the margin is 16 times smaller."""
+    taps = np.asarray(spec.coeffs)
+    q = len(taps) - 1
+    total = sum(map(abs, spec.coeffs))
+    size = _FFT_SIZE
+    while size <= 4 * q:
+        size *= 2
+    for size in (size, 4 * size):
+        values = np.fft.rfft(taps, size)
+        rounding = 8.0 * math.log2(size) * _EPS * total
+        r = np.abs(values)
+        step = values[1:] * values[:-1].conj()
+        turn = np.arctan2(step.imag, step.real)
+        h = math.pi * q / size
+        margin = 0.5 * h * h * (float(r.max()) + rounding) / (1.0 - h) \
+            + rounding
+        reach = (float(r.min()) * math.cos(0.5 * float(np.abs(turn).max()))
+                 * (1.0 - 8.0 * _EPS))
+        if reach > margin:
+            return values, rounding, round(float(turn.sum()) / math.pi)
+    return values, rounding, None
 
 
 @lru_cache(maxsize=256)
@@ -337,19 +546,30 @@ def _root_error(spec: PsdSpec):
     """A bound on max |b_lead prod_j (x - z_j) - B(x)| over the unit
     circle, the backward error of the computed roots z_j.  The difference
     p is a polynomial of degree at most q = len(taps) - 1, sampled at the
-    N = 4(q + 1) roots of unity x_n = e^{-2 pi i n / N}, where the FFT of
-    the taps gives B(x_n).  Every point of the circle lies within pi / N
-    of a sample, and by Bernstein's inequality max |p'| <= q max |p|, so
-    max |p| <= max over the samples / (1 - pi q / N).  The samples carry
-    their own rounding, of the order of the backward error itself."""
+    roots of unity x_n = e^{-2 pi i n / M}, n = 0..M/2, with M >= 4(q + 1) a
+    power of two, where every (N / M)-th FFT sample of _ma_samples gives
+    B(x_n).  The eigensolver returns complex roots in exact conjugate
+    pairs, so p has real coefficients and |p| takes the same values on the
+    other half of the circle.  Every point of the circle lies within
+    pi / M of a sample, and by Bernstein's inequality max |p'| <= q max |p|,
+    so max |p| <= max over the samples / (1 - pi q / M).  Each sample of p
+    counts its own rounding: the FFT's, from _ma_samples, and the
+    product's, 4 (q + 1) eps of its modulus for its q + 1 factors plus
+    q eps sum |b_k| for the rounding of x_n, which moves B by at most
+    max |B'| <= q sum |b_k| times it."""
     taps = np.asarray(spec.coeffs)
     b, z = _ma_roots(spec)
+    values, rounding, _ = _ma_samples(spec)
     q = len(taps) - 1
-    count = 4 * (q + 1)
-    x = np.exp((-2j * math.pi / count) * np.arange(count))
-    gap = (b[-1] * np.prod(x - z[:, None], axis=0)
-           - np.fft.fft(taps, count))
-    return float(np.abs(gap).max()) / (1.0 - math.pi * q / count)
+    count = 4
+    while count < 4 * (q + 1):
+        count *= 2
+    x = np.exp((-2j * math.pi / count) * np.arange(count // 2 + 1))
+    product = b[-1] * np.prod(x - z[:, None], axis=0)
+    gap = (np.abs(product - values[::(len(values) - 1) // (count // 2)])
+           + 4.0 * (q + 1) * _EPS * np.abs(product))
+    scale = q * _EPS * float(np.abs(taps).sum())
+    return (float(gap.max()) + scale + rounding) / (1.0 - math.pi * q / count)
 
 
 def _unfilled_log(spec: PsdSpec, mean_log, nu, edges, filled, tol):
@@ -387,13 +607,18 @@ def _unfilled_log(spec: PsdSpec, mean_log, nu, edges, filled, tol):
 
 
 def _full_band_power(psd: PsdSpec, nu):
-    """F(nu) = nu - mean S on a full band, with mean S from psd_eval at m
-    midpoints (j + 1/2) pi / m, a rule exact for S: for MA, m = len(b) and
-    sum_j cos(k theta_j) = 0 for 0 < k < 2m; for samples, m cells between
-    the nodes, on each of which S is linear.  The points go in as a tuple:
-    for an MA spectrum at this few of them psd_eval's plain-Python Horner
-    pass costs less than its array pass."""
-    m = len(psd.coeffs) if psd.form == "ma" else len(psd.values) - 1
+    """F(nu) = nu - mean S on a full band.  For MA, mean S is
+    sigma2 mean |B(x_n)|^2 over the N roots of unity x_n, from the half
+    circle's FFT samples of _ma_samples (the inner ones count twice), exact
+    for N > q, since |B|^2 on the circle is a trigonometric polynomial of
+    degree q; for samples, psd_eval at the midpoints of its m cells, on
+    each of which S is linear.  Neither shares code with _mean_and_bound."""
+    if psd.form == "ma":
+        values = _ma_samples(psd)[0]
+        ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
+        return nu - psd.sigma2 * (2.0 * float(np.vdot(values, values).real)
+                                  - ends) / (2 * (len(values) - 1))
+    m = len(psd.values) - 1
     s = psd_eval(psd, tuple((j + 0.5) * (math.pi / m) for j in range(m)))
     return nu - math.fsum(s) / m
 
@@ -419,7 +644,7 @@ def _filled_log_samples(spec: PsdSpec, edges, filled):
 
 def _partial_band_power(psd: PsdSpec, nu, edges, filled):
     """F(nu) on a partial band: for MA, the closed-form areas of nu - S
-    between the polished crossings; for samples, the midpoint rule from
+    between the returned crossings; for samples, the midpoint rule from
     psd_eval at each filled piece's midpoint, exact where S is linear."""
     if psd.form == "ma":
         c = _cosine_series(psd)
@@ -431,14 +656,21 @@ def _partial_band_power(psd: PsdSpec, nu, edges, filled):
 
 
 def _capacity(psd: PsdSpec, power, nu, edges, filled, tol):
-    """(C, power residual) at the level nu: Jensen's mean ln S for MA, less
-    the dilogarithm's int_U ln S on a partial band, or the linear pieces'
-    log integral for samples; the power check is F(nu) from m midpoints on
-    a full band, or from _partial_band_power, held to tol * max(1, P)."""
+    """(C, power residual) at the level nu: for MA, mean ln S, which is
+    ln(sigma2 b0^2) where _ma_samples certifies minimum phase and Jensen's
+    formula otherwise, less the dilogarithm's int_U ln S on a partial band;
+    for samples, the linear pieces' log integral.  The power check is F(nu)
+    from _full_band_power or _partial_band_power, held to
+    tol * max(1, P)."""
     width = float((edges[1:] - edges[:-1])[filled].sum()) / math.pi
     full = bool(filled.all())
     if psd.form == "ma":
-        filled_log = mean_log = _jensen_mean_log(psd, tol)
+        if _ma_samples(psd)[2] == 0:
+            mean_log = (math.log(psd.sigma2)
+                        + 2.0 * math.log(abs(psd.coeffs[0])))
+        else:
+            mean_log = _jensen_mean_log(psd, tol)
+        filled_log = mean_log
         if not full:
             filled_log -= _unfilled_log(psd, mean_log, nu, edges, filled, tol)
     else:

@@ -218,6 +218,8 @@ def brute_force_conditioning(config: SchemeConfig, noise: PsdSpec,
             if best is None or v_new < best[0] - 1e-15 * v_prev:
                 best = (v_new, sign, u, s)
         v_new, sign, u, s = best
+        if not 0.0 < v_new < math.inf:
+            raise ConditioningError("error variance lost positivity")
         Sig = Sig - np.outer(u, u) / s
         signs.append(sign)
         ratios.append(math.sqrt(v_new / v_prev))

@@ -13,11 +13,17 @@ closed form from the exact crossings of S = nu: for MA spectra the real
 roots of a Chebyshev series in cos(theta), for samples the linear
 crossings between nodes.  From any start at or above the root Newton falls
 monotonically onto it.  A samples spectrum starts at nu0.  An MA(q >= 2)
-band starts closer: at the discrete water level of S sampled at 64 midpoints,
-capped at nu0, or, where F is below P there, one Newton step from below
-it, which convexity puts at or above the root.  A crossing's error enters
-F only at second order, so the iterates use the crossings through arccos,
-and only the returned level's are polished, by Newton in theta itself.
+band starts closer: at the discrete water level of S sampled by one FFT of
+the taps at N points, a power of two above 4q, capped at nu0, or, where F
+is below P there, one Newton step from below it, which convexity puts at
+or above the root.  Its Newton iterates take their crossings from the same
+samples: each sign change of S_n - nu brackets one, solved by Newton in
+theta itself in plain Python and tracked from level to level.  One
+eigensolve of the colleague matrix at the converged level checks them: its
+roots must match the tracked crossings one to one, so no band between two
+samples was missed, and the level must pass the stop test on both sides.
+Any miss reruns Newton from there on the colleague matrix's crossings at
+every level, as before, and polishes the returned ones by Newton in theta.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
@@ -27,8 +33,9 @@ and no capacity is a quadrature:
 - samples: S is linear between the nodes and crossings, and ln S has an
   antiderivative on each filled piece;
 - ma(q >= 2), with MA(1) below: the roots z_j of B(z) = sum_k b_k z^k,
-  the eigenvalues of its companion matrix, are computed once per
-  spectrum.  Jensen's formula gives mean ln S from them, and
+  the eigenvalues of its companion matrix, are computed at most once per
+  spectrum, where the answer needs them.  Jensen's formula gives
+  mean ln S from them, unless minimum phase is certified (below), and
   int_F ln S = pi mean ln S - int_U ln S over the unfilled set U.  With
   rho_j = 1 / z_j outside the unit circle and conj(z_j) inside it,
   ln S = mean ln S + sum_j ln |1 - rho_j e^{i theta}|^2, so
@@ -36,20 +43,27 @@ and no capacity is a quadrature:
   Im[Li2(rho_j e^{ib}) - Li2(rho_j e^{ia})] by the dilogarithm Li2.
   S >= nu > 0 on U, so no edge of U sits on a zero of S.
 
-Both are certified: Jensen's formula by the distance within which each
-root is known, where a root near the unit circle could lie on its other
-side; the dilogarithm by the backward error of the roots,
-max |b_q prod_j (x - z_j) - B(x)| over the circle, sampled at 4(q + 1)
-roots of unity and bounded between them by Bernstein's inequality, which
-moves ln S on U by at most twice that over sqrt(nu / sigma2).
-The power check is F(nu) against P: on a full band nu - mean S from
-psd_eval at m midpoints (j + 1/2) pi / m, a rule exact for S (m = len(b)
-for MA, whose cosine series stops below degree 2m, and for samples the m
-cells between the nodes, on each of which S is linear); on a partial MA
-band the closed-form areas of nu - S between the polished crossings,
-where the Newton iterates used the arccos ones; on a partial samples band
-the midpoint rule from psd_eval on each filled piece, exact for linear S.  A spectrum that vanishes on a band has
-infinite capacity and is rejected.
+The FFT samples B_n also certify minimum phase, with no roots: between two
+samples B stays within (pi q / N)^2 max |B| / 2 of the chord, by Bernstein's
+inequality, so where every chord keeps farther than that, plus the FFT's
+rounding, from 0, B winds about 0 as the polygon of its samples does.
+Winding 0 leaves no zero of B in the closed disk, and then
+mean ln S = ln(sigma2 b0^2) exactly, so a full band needs no eigensolve at
+all.  Otherwise Jensen's formula is certified by the distance within which
+each root is known, where a root near the unit circle could lie on its
+other side; the dilogarithm by the backward error of the roots,
+max |b_q prod_j (x - z_j) - B(x)| over the circle, from the FFT samples at
+4(q + 1) or more roots of unity, with their rounding counted, and bounded
+between them by Bernstein's inequality, which moves ln S on U by at most
+twice that over sqrt(nu / sigma2).
+The power check is F(nu) against P: on a full MA band
+nu - sigma2 mean |B_n|^2 over the FFT samples, exact for N > q, and on a
+full samples band nu - mean S from psd_eval at the midpoints of its m
+cells, on each of which S is linear, neither sharing code with the level's
+mean S; on a partial MA band the closed-form areas of nu - S between the
+returned crossings; on a partial samples band the midpoint rule from
+psd_eval on each filled piece, exact for linear S.  A spectrum that
+vanishes on a band has infinite capacity and is rejected.
 
 An MA(1) spectrum, taps (b0, b1), the paper's channel among them, is
 solved in scalar closed forms, with no eigensolve and no quadrature.  With
@@ -69,9 +83,10 @@ of degree 1, or the 2-midpoint rule on a full band.
 This module solves white noise and MA(1) in plain Python, with tuples for
 the breakpoints and flags, and does not import numpy.  Every other
 spectrum goes to its array half, _waterfill_arrays, imported on first
-use: the full-band test on those forms, the crossings and their polish,
-the sampled start, the Newton loop, the roots of B with Jensen's formula
-and the dilogarithm, and the power checks.
+use: the full-band test on those forms, the FFT samples of B and their
+minimum-phase certificate, the sampled start, the tracked crossings and
+their check, the Newton loop, the roots of B with Jensen's formula and the
+dilogarithm, and the power checks.
 """
 
 from __future__ import annotations

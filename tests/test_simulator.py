@@ -14,7 +14,12 @@ from gfcap.simulator import (
     trace_to_csv,
     variance_recursion,
 )
-from gfcap.spectrum import PAPER_CHANNEL, PsdSpec, UnsupportedFormError
+from gfcap.spectrum import (
+    PAPER_CHANNEL,
+    ConditioningError,
+    PsdSpec,
+    UnsupportedFormError,
+)
 
 WHITE = PsdSpec.white(1.0)
 SK_RATE_P1 = sk_root(1.0).rate_bits
@@ -111,6 +116,18 @@ class TestBruteForceOracle:
     def test_rejects_large_n(self):
         with pytest.raises(ValueError):
             brute_force_conditioning(config(1.0, 100), WHITE, 100)
+
+    def test_lost_positivity_is_a_conditioning_error(self):
+        """A non-minimum-phase MA(7), inside roots down to 0.383: at n = 40
+        the noise map's smallest singular value is about 1.6e-17, and the
+        conditioned error variance leaves (0, inf) in double precision.
+        That raises ConditioningError, not the ValueError of a square root
+        of a negative number."""
+        taps = (1.0, 2.529678545307723, 1.0584768447303243,
+                -7.079177146359655, 5.784585176666089, -2.257321529331526,
+                0.46528301508413394, -0.03986235778923882)
+        with pytest.raises(ConditioningError):
+            brute_force_conditioning(config(1.0, 40), PsdSpec.ma(taps), 40)
 
 
 class TestMonteCarlo:

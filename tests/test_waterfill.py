@@ -429,9 +429,10 @@ def counted_calls(monkeypatch, owner, name):
 
 
 def counted_level_eigensolves(monkeypatch, *specs):
-    """Record the eigensolves of waterfill's array half, one per level
-    evaluation of a partial MA(q >= 2) band, once the roots of B that
-    Jensen's formula and the dilogarithm read are cached for specs."""
+    """Record the eigensolves of waterfill's array half once the roots of B
+    that Jensen's formula and the dilogarithm read are cached for specs: on
+    a partial MA(q >= 2) band, the colleague matrix's check of the tracked
+    crossings, and one per level evaluation where the solve falls back."""
     for spec in specs:
         arrays._ma_roots(spec)
     return counted_calls(monkeypatch, np.linalg, "eigvals")
@@ -478,23 +479,28 @@ def test_ma1_work_budget(monkeypatch, taps, sigma2, power):
     assert sizes == ([16] if sol.band_crossings else [2])
 
 
-@pytest.mark.parametrize("spec, power", [
-    (PAPER_CHANNEL, 7.0),
-    (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)), 1e3),
-    (PsdSpec.from_samples([1, 2, 3, 2, 1]), 1e6),
-    (PsdSpec.white(1.0), 3.0),
-    (PsdSpec.white(0.3), 0.3e-20),
-    (PsdSpec.white(2.0), 1e-17),
-], ids=["paper_p7", "ma8_p1e3", "samples_p1e6", "white_p3", "white_p1e-20n",
-        "white_below_half_ulp"])
-def test_full_band_work_budget(monkeypatch, spec, power):
+@pytest.mark.parametrize("spec, power, eigensolves", [
+    (PAPER_CHANNEL, 7.0, 0),
+    (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)), 1e3, 0),
+    (PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8)[::-1]), 1e3, 1),
+    (PsdSpec.from_samples([1, 2, 3, 2, 1]), 1e6, 0),
+    (PsdSpec.white(1.0), 3.0, 0),
+    (PsdSpec.white(0.3), 0.3e-20, 0),
+    (PsdSpec.white(2.0), 1e-17, 0),
+], ids=["paper_p7", "ma8_p1e3", "ma8_nonmin_p1e3", "samples_p1e6", "white_p3",
+        "white_p1e-20n", "white_below_half_ulp"])
+def test_full_band_work_budget(monkeypatch, spec, power, eigensolves):
     """At nu0 = mean S + P >= sigma2 (sum |b_k|)^2 >= max S the whole band
-    fills and nu0 is the level exactly, so no crossing is searched for
-    (no level eigensolve).  A full band never reaches the dilogarithm over
-    an unfilled band: one psd_eval at m midpoints, m = len(b) for MA and
-    the number of cells for samples, serves the power check.  White noise
-    fills at every power, with no psd_eval at all, also where P is below
-    half an ulp of N and nu0 rounds to N."""
+    fills and nu0 is the level exactly, so no crossing is searched for.  A
+    full band never reaches the dilogarithm over an unfilled band.  An
+    MA(q >= 2) band takes its power check from the FFT samples of B, with
+    no psd_eval, and where those samples certify minimum phase its mean
+    ln S is ln(sigma2 b0^2), with no eigensolve at all; reversed, the same
+    taps put every zero of B inside the disk, and Jensen's formula keeps
+    its one companion eigensolve.  MA(1) takes one psd_eval at its 2
+    midpoints, a samples spectrum one at its cells' m midpoints.  White
+    noise fills at every power, with no psd_eval at all, also where P is
+    below half an ulp of N and nu0 rounds to N."""
     if spec.form == "white":
         mean = bound = spec.level
         points = None
@@ -502,7 +508,7 @@ def test_full_band_work_budget(monkeypatch, spec, power):
         b = np.asarray(spec.coeffs)
         mean = spec.sigma2 * float(b @ b)
         bound = spec.sigma2 * float(np.abs(b).sum()) ** 2
-        points = len(b)
+        points = 2 if len(b) == 2 else None
     else:
         v = np.asarray(spec.values, dtype=float)
         mean, bound = float(np.mean(0.5 * (v[:-1] + v[1:]))), float(v.max())
@@ -513,12 +519,12 @@ def test_full_band_work_budget(monkeypatch, spec, power):
         raise AssertionError("a full band reached the unfilled-band integral")
 
     monkeypatch.setattr(arrays, "_unfilled_log", no_unfilled_band)
-    roots = counted_level_eigensolves(
-        monkeypatch, *([spec] if spec.form == "ma" and len(spec.coeffs) > 2
-                       else []))
+    arrays._ma_roots.cache_clear()
+    arrays._ma_samples.cache_clear()
+    eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
     sizes = counted_psd_eval(monkeypatch)
     sol = nonfeedback_capacity(spec, power)
-    assert roots == []
+    assert len(eigvals) == eigensolves
     assert sizes == ([] if points is None else [points])
     assert sol.water_level == mean + power
     assert sol.band_crossings == ()
@@ -597,15 +603,32 @@ def test_full_band_capacity_against_scipy(spec, power):
 @pytest.mark.parametrize("power", [0.1, 0.5, 1.0, 1.5])
 def test_partial_band_level_budget(monkeypatch, power):
     """The Newton solve of a partial MA(q >= 2) band starts from the sampled
-    discrete water level, close to the root, and polishes only the returned
-    crossings: at most 4 level evaluations, each one eigensolve.  Here on
-    S = |1 + z^2|^2, the paper channel at twice the speed, with the same
-    level.  The paper channel itself, MA(1), takes none."""
+    discrete water level, close to the root, on crossings tracked from the
+    FFT samples, and checks them at the converged level with one colleague
+    eigensolve.  Here on S = |1 + z^2|^2, the paper channel at twice the
+    speed, with the same level.  Where tracking is lost, the solve falls
+    back to an eigensolve at each level from the same start: at most 4,
+    and the same level to a few ulps.  The paper channel itself, MA(1),
+    takes none."""
     spec = PsdSpec.ma((1.0, 0.0, 1.0))
     roots = counted_level_eigensolves(monkeypatch, spec)
     sol = nonfeedback_capacity(spec, power)
     assert len(sol.band_crossings) == 2
+    assert len(roots) == 1
+
+    def lost(c, s):
+        def terms(nu):
+            raise arrays._LostCrossing("forced")
+        return terms
+
+    roots.clear()
+    with monkeypatch.context() as patch:
+        patch.setattr(arrays, "_tracked_terms", lost)
+        fallback = nonfeedback_capacity(spec, power)
     assert 1 <= len(roots) <= 4
+    assert fallback.water_level == pytest.approx(sol.water_level, rel=8 * EPS)
+    assert fallback.band_crossings == pytest.approx(sol.band_crossings,
+                                                    abs=1e-14)
     roots.clear()
     sol = nonfeedback_capacity(PAPER_CHANNEL, power)
     assert len(sol.band_crossings) == 1
@@ -911,6 +934,9 @@ def random_ma_spectra(seed, count):
 
 
 def test_theta_polish_matches_chebval_polish():
+    """The fallback's polish, Newton in theta on the edges where the filled
+    flag flips, meets the roots polished in x = cos(theta) with chebval to
+    1e-13."""
     rng = np.random.default_rng(61)
     count = 0
     for spec in random_ma_spectra(60, 600):
@@ -918,13 +944,12 @@ def test_theta_polish_matches_chebval_polish():
         s = psd_eval(spec, np.linspace(0.0, PI, 513))
         nu = float(rng.uniform(s.min(), s.max()))
         ref = ma_crossings_chebval(c, nu)
-        # in increasing theta: chebroots sorts its roots, the colleague
-        # matrix's crossings come in LAPACK's order
-        got = np.sort(arrays._polish_crossings(c, nu,
-                                               arrays._ma_crossings(c)(nu)))
-        ref = np.sort(ref)
-        assert got.shape == ref.shape
-        assert np.all(np.abs(got - ref) <= 1e-13)
+        crossings, split, _ = arrays._ma_pieces(c)
+        edges, filled, _ = split(nu, crossings(nu))
+        got = arrays._polish(c, nu, edges, filled)
+        assert len(got) == np.count_nonzero(filled[1:] != filled[:-1])
+        for theta in got:
+            assert np.min(np.abs(ref - theta)) <= 1e-13
         count += len(got)
     assert count >= 1000
 
@@ -1176,3 +1201,168 @@ def test_perturbed_roots_raise(monkeypatch):
     arrays._jensen_mean_log(spec, 1e-10)
     with pytest.raises(ConvergenceError, match="backward error"):
         nonfeedback_capacity(spec, power)
+
+
+# ---- MA(q >= 2) from the FFT samples of B: the winding certificate and the
+# tracked level ------------------------------------------------------------
+
+def test_fft_samples_rounding_and_winding():
+    """The FFT samples of B meet a long-double Horner evaluation within
+    their stated rounding, and every certified winding number is minus the
+    number of zeros of B inside the unit disk (from np.roots), so winding 0
+    certifies minimum phase."""
+    pi = 4 * np.arctan(np.longdouble(1))
+    certified = 0
+    for spec in random_ma_spectra(65, 300):
+        taps = np.asarray(spec.coeffs)
+        values, rounding, winding = arrays._ma_samples(spec)
+        angle = (-2 * pi / (2 * (len(values) - 1))) * np.arange(
+            len(values), dtype=np.longdouble)
+        cos, sin = np.cos(angle), np.sin(angle)
+        re, im = np.zeros_like(cos), np.zeros_like(cos)
+        for bk in taps[::-1].astype(np.longdouble):
+            re, im = re * cos - im * sin + bk, re * sin + im * cos
+        error = np.hypot((values.real - re).astype(float),
+                         (values.imag - im).astype(float))
+        assert np.max(error) <= rounding
+        if winding is not None:
+            inside = np.count_nonzero(np.abs(np.roots(taps[::-1])) < 1.0)
+            assert winding == -inside
+            certified += 1
+    assert certified >= 100
+
+
+@pytest.mark.parametrize("offset", [1e-9, -1e-9])
+def test_zero_next_to_the_circle_fails_the_certificate(monkeypatch, offset):
+    """A zero of B at modulus 1 +- 1e-9 lies between the FFT samples'
+    reach: the winding certificate fails at both sizes, and the capacity
+    keeps Jensen's formula on the roots, here the closed form of a full
+    band with Jensen's mean ln S from np.roots."""
+    z = (1.0 + offset) * np.exp(1j * 1.0)
+    spec = PsdSpec.ma(np.real(np.poly([z, np.conj(z), 2.0, -1.5])))
+    arrays._ma_samples.cache_clear()
+    assert arrays._ma_samples(spec)[2] is None
+    jensen = counted_calls(monkeypatch, arrays, "_jensen_mean_log")
+    sol = nonfeedback_capacity(spec, 1e3)
+    assert len(jensen) == 1
+    assert sol.band_crossings == ()
+    mean_log, _, scale = jensen_polyval(spec)
+    assert sol.capacity_bits == pytest.approx(
+        0.5 * (math.log(sol.water_level) - mean_log) / math.log(2.0),
+        abs=4 * EPS * max(scale, 1.0))
+
+
+@pytest.mark.parametrize("taps", [(1.0, 2.0, 1.0), (1.0, 3.0, 3.0, 1.0)],
+                         ids=["(1+z)^2", "(1+z)^3"])
+@pytest.mark.parametrize("power", [1.0, 1e3], ids=["partial", "full"])
+def test_multiple_unit_circle_zeros_still_raise(taps, power):
+    """A multiple zero on the unit circle fails the winding certificate,
+    and Jensen's bound on its roots exceeds the tolerance, on a partial
+    band and on a full one."""
+    arrays._ma_roots.cache_clear()
+    arrays._ma_samples.cache_clear()
+    with pytest.raises(ConvergenceError):
+        nonfeedback_capacity(PsdSpec.ma(taps), power)
+
+
+def test_missed_band_falls_back_and_meets_the_oracle(monkeypatch):
+    """Zeros of B at modulus 1.02 on a sample angle and 1.005 midway
+    between two samples, at small P: at the root only the narrow dip at the
+    second is filled, and every FFT sample of S lies above the level, so
+    the tracked crossings miss that band and converge above the root.  The
+    colleague matrix's check finds its two crossings, and the solve falls
+    back to an eigensolve at each level from there, which meets the
+    oracle."""
+    step = 2 * PI / 256
+    z1, z2 = 1.02 * np.exp(42j * step), 1.005 * np.exp(85.5j * step)
+    taps = np.real(np.poly([z1, np.conj(z1), z2, np.conj(z2)]))[::-1]
+    spec = PsdSpec.ma(taps / taps[0])
+    assert len(arrays._ma_samples(spec)[0]) == 129
+    levels, newton = [], arrays._newton
+
+    def recorded(*args):
+        result = newton(*args)
+        levels.append(result[0])
+        return result
+
+    monkeypatch.setattr(arrays, "_newton", recorded)
+    oracle = Oracle(spec)
+    bound = float(np.abs(taps / taps[0]).sum()) ** 2
+    for power in (1e-7, 1e-6):
+        levels.clear()
+        sol = nonfeedback_capacity(spec, power)
+        nu = sol.water_level
+        samples = spec.sigma2 * np.abs(arrays._ma_samples(spec)[0]) ** 2
+        assert samples.min() > nu
+        assert len(levels) == 2 and levels[0] > levels[1] == nu
+        assert len(sol.band_crossings) == 2
+        assert all(abs(theta - 85.5 * step) < 0.5 * step
+                   for theta in sol.band_crossings)
+        # the stop test holds nu to a few ulps of nu + bound, not of nu,
+        # which here is 2e4 times smaller
+        assert nu == pytest.approx(oracle.level(power),
+                                   abs=8 * EPS * (nu + bound))
+        assert sol.capacity_bits == pytest.approx(oracle.capacity(nu),
+                                                  abs=1e-10)
+        assert sol.power_residual <= 1e-10
+
+
+@st.composite
+def ma_bands(draw):
+    """An MA(2..16) spectrum whose B has every zero outside the unit disk
+    (minimum phase) or every one inside, from roots of modulus 0.2 to 0.9,
+    real or in conjugate pairs, taken as B's zeros or reflected as 1 / z;
+    and a power that leaves the band partial (a share of max S - mean S)
+    or fills it (past sigma2 (sum |b_k|)^2 - mean S)."""
+    q = draw(st.integers(2, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    roots = []
+    while len(roots) < q:
+        r = rng.uniform(0.2, 0.9)
+        if len(roots) <= q - 2 and rng.uniform() < 0.5:
+            z = r * np.exp(1j * rng.uniform(0.1, PI - 0.1))
+            roots += [z, np.conj(z)]
+        else:
+            roots.append(r * rng.choice((-1.0, 1.0)))
+    minimum = draw(st.booleans())
+    # np.poly lists z^q first; read as b_0 first, its zeros are 1 / z
+    taps = np.real(np.poly(roots))
+    spec = PsdSpec.ma(taps if minimum else taps[::-1],
+                      draw(st.floats(0.1, 10.0)))
+    return spec, minimum, draw(st.booleans()), draw(st.floats(0.01, 0.9))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(case=ma_bands())
+def test_minimum_phase_capacity_property(case):
+    """Where the FFT samples certify a winding number, it is 0 exactly when
+    B has no zero in the disk; close zeros can leave it uncertified, and
+    Jensen's formula then serves.  The capacity meets scipy's quad on the
+    oracle's level to 1e-10 on full and partial bands, and the roots/Jensen
+    path (the certificate turned off) on the same level to a few ulps of
+    the terms of Jensen's sum."""
+    spec, minimum, full, share = case
+    oracle = Oracle(spec)
+    b = np.asarray(spec.coeffs)
+    mean = spec.sigma2 * float(b @ b)
+    if full:
+        bound = spec.sigma2 * float(np.abs(b).sum()) ** 2
+        power = (bound - mean) * (1.0 + share)
+    else:
+        power = share * (float(oracle.vals.max()) - mean)
+    winding = arrays._ma_samples(spec)[2]
+    assert winding is None or (winding == 0) == minimum
+    sol = nonfeedback_capacity(spec, power)
+    assert bool(sol.band_crossings) != full
+    nu = sol.water_level
+    assert nu == pytest.approx(oracle.level(power), rel=1e-12, abs=0)
+    assert sol.capacity_bits == pytest.approx(oracle.capacity(nu), abs=1e-10)
+    assert sol.power_residual <= 1e-10 * max(1.0, power)
+    samples = arrays._ma_samples
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrays, "_ma_samples",
+                      lambda psd: (*samples(psd)[:2], None))
+        roots = nonfeedback_capacity(spec, power)
+    assert roots.water_level == nu
+    assert roots.capacity_bits == pytest.approx(
+        sol.capacity_bits, abs=4 * EPS * max(jensen_polyval(spec)[2], 1.0))
