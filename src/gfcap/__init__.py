@@ -10,7 +10,6 @@ from .spectrum import (
     ConditioningError,
     ConvergenceError,
     PsdSpec,
-    QuadratureConfig,
     UnsupportedFormError,
     load_psd,
     psd_describe,
@@ -60,7 +59,6 @@ __all__ = [
     "ConvergenceError",
     "MonteCarloReport",
     "PsdSpec",
-    "QuadratureConfig",
     "SchemeConfig",
     "SkSolution",
     "UnsupportedFormError",

@@ -1,12 +1,12 @@
-"""The array half of water-filling: MA(q != 1) and samples spectra.
+"""The array half of water-filling: the MA(q != 1) and samples rows.
 
 waterfill solves white noise and MA(1) in scalar closed forms and imports
-this module on first use, for everything else: the level's full-band test
-on these forms, the FFT samples of B and their minimum-phase certificate,
-the sampled start, the tracked crossings and the colleague matrix's check
-of them, the Newton loop, the roots of B with Jensen's formula and the
-dilogarithm, and the power checks.  The method is set out in waterfill's
-docstring.
+this module on first use, for everything else: the rows _MA and _SAMPLES
+of its table of forms, which waterfill._form picks.  They hold the FFT
+samples of B and their minimum-phase certificate, the sampled start, the
+tracked crossings and the colleague matrix's check of them, the Newton
+loop, the roots of B with Jensen's formula and the dilogarithm, and the
+power checks.  The method is set out in waterfill's docstring.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spectrum import ConvergenceError, PsdSpec, psd_eval
-from .waterfill import _EPS, _LI2_BERNOULLI, _LN2, _check_floor
+from .waterfill import _EPS, _LI2_BERNOULLI, _LN2, _Form, _ma_vanishes
 
 _NEWTON_MAX_ITER = 100
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
@@ -276,8 +276,8 @@ def _ma_pieces(c):
 def _samples_pieces(values):
     """pieces(nu) -> (edges, filled, areas) for a samples spectrum: the
     nodes and the crossings between them, the sign of nu - S on each piece
-    and its area.  The nodes stay edges even when the band fills, since
-    the filled log integral reads S as linear between consecutive edges."""
+    and its area.  The nodes stay edges, since the filled log integral
+    reads S as linear between consecutive edges."""
     values = np.asarray(values)
     nodes = np.linspace(0.0, math.pi, len(values))
     a, b = values[:-1], values[1:]
@@ -297,15 +297,25 @@ def _samples_pieces(values):
     return pieces
 
 
-def _mean_and_bound(spec: PsdSpec):
-    """mean(S), and a bound on max S that also bounds the terms summed
-    into F(nu): sigma2 * (sum |b_k|)^2 >= c0 + sum |c_k| for MA forms."""
-    if spec.form == "ma":
-        b = np.asarray(spec.coeffs)
-        return (spec.sigma2 * float(b @ b),
-                spec.sigma2 * float(np.abs(b).sum()) ** 2)
+def _ma_mean_and_bound(spec: PsdSpec):
+    """mean(S) = sigma2 sum b_k^2, and a bound on max S that also bounds
+    the terms summed into F(nu): sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|."""
+    b = np.asarray(spec.coeffs)
+    return (spec.sigma2 * float(b @ b),
+            spec.sigma2 * float(np.abs(b).sum()) ** 2)
+
+
+def _samples_mean_and_bound(spec: PsdSpec):
+    """mean(S) by the trapezoid rule over the nodes, exact for linear
+    pieces, and max S, the largest sample."""
     v = np.asarray(spec.values)
     return float((v.sum() - 0.5 * (v[0] + v[-1])) / (len(v) - 1)), float(v.max())
+
+
+def _samples_vanish(spec: PsdSpec):
+    """Two adjacent zero samples: S is zero on the cell between them."""
+    v = spec.values
+    return any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:]))
 
 
 def _terms(pieces):
@@ -321,10 +331,13 @@ def _terms(pieces):
 
 
 def _newton(terms, nu, nu0, power, bound):
-    """Newton on the convex F from terms, as _solve_level sets out: from a
-    start nu below the root, one step up, which convexity puts at or above
-    it (capped at nu0); then down, monotonically, until the step falls to
-    4 eps (nu + bound) or the excess F(nu) - P is no longer positive.
+    """Newton on the convex F from terms: from a start nu below the root,
+    one step up, which convexity puts at or above it (capped at nu0); then
+    down, monotonically, until the excess F(nu) - P is no longer positive
+    or the step falls to 4 eps (nu + bound).  The terms summed into F are
+    bounded by nu + bound (bound is max S for samples, and for MA
+    sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|), so F's rounding error is a few
+    ulps of nu + bound times F', and its root is determined to no better.
     Returns (nu, F(nu), F'(nu), edges, filled); raises ConvergenceError
     after _NEWTON_MAX_ITER steps."""
     filled_power, slope, edges, filled = terms(nu)
@@ -387,25 +400,9 @@ def _ma_level(spec: PsdSpec, power, nu0, bound):
     return nu, edges, filled
 
 
-def _solve_level(spec: PsdSpec, power: float):
-    """The water level nu of an MA(q != 1) or samples spectrum, with the
-    breakpoints and filled flags of its pieces: a full band's nu0 first,
-    else Newton on the convex F from a start at or above the root, as
-    waterfill's docstring sets out; _ma_level solves a partial MA band.
-
-    The terms summed into F are bounded by nu + bound, where bound is max S
-    for samples and, for MA, sigma2 (sum |b_k|)^2 >= c0 + sum |c_k|.  So
-    the rounding error of F is a few ulps of (nu + bound) times F', and its
-    root is only determined to a few ulps of nu + bound: the solve stops
-    once the step falls to that, or once the computed excess F(nu) - P is
-    no longer positive.  An unconverged nu is never returned.
-    """
-    mean, bound = _mean_and_bound(spec)
-    nu0 = mean + power
-    if spec.form == "ma":
-        if nu0 >= bound:
-            return nu0, np.array([0.0, math.pi]), np.array([True])
-        return _ma_level(spec, power, nu0, bound)
+def _samples_level(spec: PsdSpec, power, nu0, bound):
+    """(nu, edges, filled) on a partial samples band: Newton on the convex
+    F from nu0, over the nodes and the linear crossings between them."""
     nu, _, _, edges, filled = _newton(_terms(_samples_pieces(spec.values)),
                                       nu0, nu0, power, bound)
     return nu, edges, filled
@@ -475,7 +472,7 @@ def _ma_roots(spec: PsdSpec):
     rounding, is counted as rounding there.
     """
     taps = np.asarray(spec.coeffs)
-    # _reject_vanishing has left a nonzero tap, and so one that is kept
+    # the vanishing check has left a nonzero tap, and so one that is kept
     kept = np.flatnonzero(np.abs(taps) > _EPS * np.abs(taps).sum())
     b = taps[:kept[-1] + 1]
     if len(b) <= 2:
@@ -606,23 +603,6 @@ def _unfilled_log(spec: PsdSpec, mean_log, nu, edges, filled, tol):
     return (width * mean_log - 2.0 * float((im @ sign).sum())) / math.pi
 
 
-def _full_band_power(psd: PsdSpec, nu):
-    """F(nu) = nu - mean S on a full band.  For MA, mean S is
-    sigma2 mean |B(x_n)|^2 over the N roots of unity x_n, from the half
-    circle's FFT samples of _ma_samples (the inner ones count twice), exact
-    for N > q, since |B|^2 on the circle is a trigonometric polynomial of
-    degree q; for samples, psd_eval at the midpoints of its m cells, on
-    each of which S is linear.  Neither shares code with _mean_and_bound."""
-    if psd.form == "ma":
-        values = _ma_samples(psd)[0]
-        ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
-        return nu - psd.sigma2 * (2.0 * float(np.vdot(values, values).real)
-                                  - ends) / (2 * (len(values) - 1))
-    m = len(psd.values) - 1
-    s = psd_eval(psd, tuple((j + 0.5) * (math.pi / m) for j in range(m)))
-    return nu - math.fsum(s) / m
-
-
 def _filled_log_samples(spec: PsdSpec, edges, filled):
     """int_F ln S for a samples spectrum: on a piece where S runs linearly
     from a to b, the mean of ln S is ln m + g(t), with m = (a + b) / 2,
@@ -642,42 +622,62 @@ def _filled_log_samples(spec: PsdSpec, edges, filled):
     return float(np.diff(edges)[filled] @ (np.log(m) + g))
 
 
-def _partial_band_power(psd: PsdSpec, nu, edges, filled):
-    """F(nu) on a partial band: for MA, the closed-form areas of nu - S
-    between the returned crossings; for samples, the midpoint rule from
-    psd_eval at each filled piece's midpoint, exact where S is linear."""
-    if psd.form == "ma":
-        c = _cosine_series(psd)
+def _bits(nu, edges, filled, filled_log):
+    """C = (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F,
+    given filled_log = int_F ln S / pi."""
+    width = float((edges[1:] - edges[:-1])[filled].sum()) / math.pi
+    return 0.5 * (width * math.log(nu) - filled_log) / _LN2
+
+
+def _ma_capacity(spec: PsdSpec, nu, edges, filled, tol):
+    """(C, F(nu)) of an MA(q != 1) spectrum: mean ln S is ln(sigma2 b0^2)
+    where _ma_samples certifies minimum phase and Jensen's formula
+    otherwise, less the dilogarithm's int_U ln S on a partial band.  F(nu)
+    is, on a full band, nu - sigma2 mean |B(x_n)|^2 over the N roots of
+    unity x_n from the half circle's FFT samples (the inner ones count
+    twice), exact for N > q, as |B|^2 on the circle is a trigonometric
+    polynomial of degree q; on a partial band, the closed-form areas of
+    nu - S between the returned crossings."""
+    edges, filled = np.asarray(edges), np.asarray(filled)
+    values, _, winding = _ma_samples(spec)
+    if winding == 0:
+        mean_log = (math.log(spec.sigma2)
+                    + 2.0 * math.log(abs(spec.coeffs[0])))
+    else:
+        mean_log = _jensen_mean_log(spec, tol)
+    if filled.all():
+        ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
+        filled_log, filled_power = mean_log, nu - spec.sigma2 * (
+            2.0 * float(np.vdot(values, values).real) - ends) / (
+            2 * (len(values) - 1))
+    else:
+        filled_log = mean_log - _unfilled_log(spec, mean_log, nu, edges,
+                                              filled, tol)
+        c = _cosine_series(spec)
         k = np.arange(1, len(c))
         areas = _ma_areas(c, k, nu, edges, _cos_mid(edges, k))
-        return float(areas[filled].sum()) / math.pi
-    mid = 0.5 * (edges[:-1] + edges[1:])[filled]
-    return float(np.diff(edges)[filled] @ (nu - psd_eval(psd, mid))) / math.pi
+        filled_power = float(areas[filled].sum()) / math.pi
+    return _bits(nu, edges, filled, filled_log), filled_power
 
 
-def _capacity(psd: PsdSpec, power, nu, edges, filled, tol):
-    """(C, power residual) at the level nu: for MA, mean ln S, which is
-    ln(sigma2 b0^2) where _ma_samples certifies minimum phase and Jensen's
-    formula otherwise, less the dilogarithm's int_U ln S on a partial band;
-    for samples, the linear pieces' log integral.  The power check is F(nu)
-    from _full_band_power or _partial_band_power, held to
-    tol * max(1, P)."""
-    width = float((edges[1:] - edges[:-1])[filled].sum()) / math.pi
-    full = bool(filled.all())
-    if psd.form == "ma":
-        if _ma_samples(psd)[2] == 0:
-            mean_log = (math.log(psd.sigma2)
-                        + 2.0 * math.log(abs(psd.coeffs[0])))
-        else:
-            mean_log = _jensen_mean_log(psd, tol)
-        filled_log = mean_log
-        if not full:
-            filled_log -= _unfilled_log(psd, mean_log, nu, edges, filled, tol)
+def _samples_capacity(spec: PsdSpec, nu, edges, filled, tol):
+    """(C, F(nu)) of a samples spectrum, from the log integral of its
+    linear pieces: a full band's are its m cells, not [0, pi] in one.
+    F(nu) is psd_eval's midpoint rule, exact for linear S: nu - mean S over
+    the cells on a full band, and on each filled piece of a partial one."""
+    m = len(spec.values) - 1
+    if all(filled):
+        edges, filled = np.linspace(0.0, math.pi, m + 1), np.ones(m, bool)
+        s = psd_eval(spec, tuple((j + 0.5) * (math.pi / m) for j in range(m)))
+        filled_power = nu - math.fsum(s) / m
     else:
-        filled_log = _filled_log_samples(psd, edges, filled) / math.pi
-    filled_power = (_full_band_power(psd, nu) if full
-                    else _partial_band_power(psd, nu, edges, filled))
-    capacity = 0.5 * (width * math.log(nu) - filled_log) / _LN2
-    _check_floor(tol, capacity)
-    _check_floor(tol * max(1.0, power), filled_power)
-    return capacity, abs(filled_power - power)
+        mid = 0.5 * (edges[:-1] + edges[1:])[filled]
+        filled_power = float(np.diff(edges)[filled]
+                             @ (nu - psd_eval(spec, mid))) / math.pi
+    filled_log = _filled_log_samples(spec, edges, filled) / math.pi
+    return _bits(nu, edges, filled, filled_log), filled_power
+
+
+_MA = _Form(_ma_vanishes, _ma_mean_and_bound, _ma_level, _ma_capacity)
+_SAMPLES = _Form(_samples_vanish, _samples_mean_and_bound, _samples_level,
+                 _samples_capacity)

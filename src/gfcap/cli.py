@@ -30,7 +30,6 @@ from .spectrum import (
     PAPER_CHANNEL,
     ConditioningError,
     ConvergenceError,
-    QuadratureConfig,
     load_psd,
     psd_describe,
 )
@@ -86,13 +85,9 @@ def _emit(report, fmt, out=None):
                 out.write(f"{key} = {_fmt(value)}\n")
 
 
-def _quad_config(args):
-    return QuadratureConfig(abs_tolerance=args.tol)
-
-
 def cmd_capacity(args):
     psd = load_psd(args.psd)
-    sol = nonfeedback_capacity(psd, args.power, _quad_config(args))
+    sol = nonfeedback_capacity(psd, args.power, args.tol)
     return (
         {"psd": psd_describe(psd), "power": args.power, "tol": args.tol},
         {
@@ -116,13 +111,12 @@ def cmd_sk_rate(args):
 
 def cmd_bounds(args):
     psd = load_psd(args.psd)
-    cfg = _quad_config(args)
     alphas = default_alpha_grid(args.alpha_points, args.alpha_min,
                                 args.alpha_max)
-    c_p = nonfeedback_capacity(psd, args.power, cfg).capacity_bits
+    c_p = nonfeedback_capacity(psd, args.power, args.tol).capacity_bits
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
     curve, cy_alpha, cy_value = chen_yanagi_curve(psd, args.power, alphas,
-                                                  cfg)
+                                                  args.tol)
     return (
         {"psd": psd_describe(psd), "power": args.power, "tol": args.tol,
          "alpha_min": args.alpha_min, "alpha_max": args.alpha_max,
@@ -152,9 +146,8 @@ def _parse_sweep(text):
 
 
 def cmd_counterexample(args):
-    cfg = _quad_config(args)
     sweep = _parse_sweep(args.power_sweep) if args.power_sweep else None
-    report = conjecture_check(1.0, cfg)
+    report = conjecture_check(1.0, args.tol)
     failures = sandwich_failures(report)
     if failures:
         raise CheckFailure("; ".join(failures))
@@ -184,7 +177,7 @@ def cmd_counterexample(args):
             sk = report.sk if p == 1.0 else sk_root(p)
             if 2.0 * p not in capacities:
                 capacities[2.0 * p] = nonfeedback_capacity(
-                    PAPER_CHANNEL, 2.0 * p, cfg).capacity_bits
+                    PAPER_CHANNEL, 2.0 * p, args.tol).capacity_bits
             c_2p = capacities[2.0 * p]
             rows.append([p, sk.rate_bits, c_2p, sk.rate_bits - c_2p > 0])
         outputs["power_sweep"] = rows
@@ -240,11 +233,12 @@ def build_parser():
                     "for stationary Gaussian noise channels.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, psd=True):
+    def common(p, psd=True, tol=True):
         p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="tolerance: absolute on the capacity in bits, "
-                            "scaled by max(1, P) on the power check")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10,
+                           help="tolerance: absolute on the capacity in "
+                                "bits, scaled by max(1, P) on the power check")
         if psd:
             p.add_argument("--psd", default="paper",
                            help="PSD spec file, 'paper', or 'white:LEVEL'")
@@ -255,7 +249,7 @@ def build_parser():
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("sk-rate", help="achievable feedback rate -log2(x0)")
-    common(p, psd=False)
+    common(p, psd=False, tol=False)
     p.add_argument("--power", type=float, required=True)
     p.set_defaults(func=cmd_sk_rate)
 
@@ -274,7 +268,7 @@ def build_parser():
     p.set_defaults(func=cmd_counterexample)
 
     p = sub.add_parser("simulate", help="run the feedback coding scheme")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--power", type=float, required=True)
     p.add_argument("--rate", type=float, default=None,
                    help="message rate in bits/use (default 0.9x scheme rate)")

@@ -14,12 +14,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .spectrum import (
-    PAPER_CHANNEL,
-    ConvergenceError,
-    PsdSpec,
-    QuadratureConfig,
-)
+from .spectrum import PAPER_CHANNEL, ConvergenceError, PsdSpec
 from .waterfill import nonfeedback_capacity
 
 _EPS = sys.float_info.epsilon
@@ -113,11 +108,11 @@ def cover_pombra_bounds(c_p: float):
 
 
 def chen_yanagi_bound(psd: PsdSpec, power: float, alpha: float,
-                      config: QuadratureConfig | None = None):
+                      tol: float = 1e-10):
     """Bound pair ((1+1/a)*C(aP), C(aP) + (1/2)log2(1+1/a)) for a > 0."""
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be positive and finite")
-    c = nonfeedback_capacity(psd, alpha * power, config).capacity_bits
+    c = nonfeedback_capacity(psd, alpha * power, tol).capacity_bits
     return (1.0 + 1.0 / alpha) * c, c + 0.5 * math.log2(1.0 + 1.0 / alpha)
 
 
@@ -153,7 +148,7 @@ def default_alpha_grid(n_points=50, lo=0.1, hi=10.0):
 
 
 def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
-                      config: QuadratureConfig | None = None):
+                      tol: float = 1e-10):
     """The bound pair at every alpha of the grid and its minimum over alpha,
     from one pass: returns (curve, cy_min_alpha, cy_min_value), with curve
     entries (alpha, bound1, bound2).  The curve itself is the grid scan;
@@ -161,13 +156,13 @@ def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
     refines the minimum, and the final midpoint replaces that point only
     if it is lower.  Each capacity is solved once."""
     curve = tuple(
-        (float(a),) + chen_yanagi_bound(psd, power, float(a), config)
+        (float(a),) + chen_yanagi_bound(psd, power, float(a), tol)
         for a in alpha_grid)
     if not curve:
         raise ValueError("alpha grid must be nonempty")
 
     def value(a):
-        return min(chen_yanagi_bound(psd, power, a, config))
+        return min(chen_yanagi_bound(psd, power, a, tol))
 
     scan = sorted((a, min(b1, b2)) for a, b1, b2 in curve)
     i = min(range(len(scan)), key=lambda j: scan[j][1])
@@ -193,20 +188,18 @@ def chen_yanagi_curve(psd: PsdSpec, power: float, alpha_grid,
     return curve, best_a, best_v
 
 
-def conjecture_margin(power: float,
-                      config: QuadratureConfig | None = None):
+def conjecture_margin(power: float, tol: float = 1e-10):
     """The achievable feedback rate against the conjectured ceiling C(2P)
     on the MA(1) channel: returns (sk, c_2p, margin, violated), where
     margin = -log2 x0 - C(2P) and violated means margin > 0.  One sk_root
     and one capacity solve."""
     sk = sk_root(power)
-    c_2p = nonfeedback_capacity(PAPER_CHANNEL, 2.0 * power,
-                                config).capacity_bits
+    c_2p = nonfeedback_capacity(PAPER_CHANNEL, 2.0 * power, tol).capacity_bits
     margin = sk.rate_bits - c_2p
     return sk, c_2p, margin, margin > 0
 
 
-def conjecture_check(power: float, config: QuadratureConfig | None = None,
+def conjecture_check(power: float, tol: float = 1e-10,
                      alpha_grid=None) -> BoundReport:
     """Full bound report for the MA(1) channel at the given power.
 
@@ -217,10 +210,10 @@ def conjecture_check(power: float, config: QuadratureConfig | None = None,
         raise ValueError("power must be positive and finite")
     psd = PAPER_CHANNEL
     grid = default_alpha_grid() if alpha_grid is None else alpha_grid
-    c_p = nonfeedback_capacity(psd, power, config).capacity_bits
-    sk, c_2p, margin, violated = conjecture_margin(power, config)
+    c_p = nonfeedback_capacity(psd, power, tol).capacity_bits
+    sk, c_2p, margin, violated = conjecture_margin(power, tol)
     cp_double, cp_plus_half = cover_pombra_bounds(c_p)
-    curve, cy_alpha, cy_value = chen_yanagi_curve(psd, power, grid, config)
+    curve, cy_alpha, cy_value = chen_yanagi_curve(psd, power, grid, tol)
     return BoundReport(
         power=float(power),
         c_p=c_p,

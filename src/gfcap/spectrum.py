@@ -85,23 +85,6 @@ class PsdSpec:
 PAPER_CHANNEL = PsdSpec.ma((1.0, 1.0), 1.0)
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """The tolerance a capacity is certified to.  abs_tolerance is absolute
-    on the capacity in bits and, scaled by max(1, P), on the power check
-    (the filled power, recomputed at the returned level, against the budget
-    P).  No capacity is a quadrature: the name is kept for the API."""
-
-    abs_tolerance: float = 1e-10
-
-    def __post_init__(self):
-        if not 0 < self.abs_tolerance < math.inf:
-            raise ValueError("abs_tolerance must be positive and finite")
-
-
-DEFAULT_QUADRATURE = QuadratureConfig()
-
-
 def psd_eval(spec: PsdSpec, theta):
     """Evaluate the PSD at theta in [-pi, pi].  A float gives a float and a
     tuple a tuple of floats; anything else is taken as an array and gives

@@ -3,8 +3,9 @@ and nonfeedback capacity in bits per channel use.
 
 The water level nu solves F(nu) = P for the filled power
 F(nu) = mean((nu - S)^+), and nu0 = mean(S) + P is at or above it, since
-F(nu0) >= mean(nu0 - S) = P.  White noise, and an MA spectrum whose nu0 is
-at least sigma2 (sum |b_k|)^2 >= max S, fill the whole band: there
+F(nu0) >= mean(nu0 - S) = P.  White noise, an MA spectrum whose nu0 is at
+least sigma2 (sum |b_k|)^2 >= max S, and a samples spectrum whose nu0 is at
+least its largest sample fill the whole band: there
 F(nu) = nu - mean(S), so nu0 is the level exactly, decided before any
 root finding.  Only a partial band is solved by Newton's method.  F is
 convex and nondecreasing, with slope
@@ -12,7 +13,7 @@ F'(nu) = |{theta in [0, pi] : S(theta) < nu}| / pi, and both come in
 closed form from the exact crossings of S = nu: for MA spectra the real
 roots of a Chebyshev series in cos(theta), for samples the linear
 crossings between nodes.  From any start at or above the root Newton falls
-monotonically onto it.  A samples spectrum starts at nu0.  An MA(q >= 2)
+monotonically onto it.  A partial samples band starts at nu0.  An MA(q >= 2)
 band starts closer: at the discrete water level of S sampled by one FFT of
 the taps at N points, a power of two above 4q, capped at nu0, or, where F
 is below P there, one Newton step from below it, which convexity puts at
@@ -80,13 +81,15 @@ The power check stays apart from the solve: the 16-point Gauss-Legendre
 rule on nu - S over the filled arc, exact to rounding for a cosine series
 of degree 1, or the 2-midpoint rule on a full band.
 
-This module solves white noise and MA(1) in plain Python, with tuples for
-the breakpoints and flags, and does not import numpy.  Every other
-spectrum goes to its array half, _waterfill_arrays, imported on first
-use: the full-band test on those forms, the FFT samples of B and their
-minimum-phase certificate, the sampled start, the tracked crossings and
-their check, the Newton loop, the roots of B with Jensen's formula and the
-dilogarithm, and the power checks.
+Each spectral form is one row of the table _Form, and _form(spec), the
+one place that reads the form, picks it.  nonfeedback_capacity runs every
+row the same way: its vanishing test, one _solve_level (nu0 where it
+fills the band, else the row's partial level), its capacity and filled
+power, then the roundoff floors and the power residual.  The white and
+MA(1) rows are here, in plain Python with tuples for the breakpoints and
+flags, and this module does not import numpy.  The MA(q != 1) and
+samples rows are in the array half, _waterfill_arrays, imported on first
+use.
 """
 
 from __future__ import annotations
@@ -96,13 +99,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .spectrum import (
-    DEFAULT_QUADRATURE,
-    ConvergenceError,
-    PsdSpec,
-    QuadratureConfig,
-    psd_eval,
-)
+from .spectrum import ConvergenceError, PsdSpec, psd_eval
 
 _EPS = sys.float_info.epsilon
 _LN2 = math.log(2.0)
@@ -146,16 +143,6 @@ class WaterfillSolution:
     power_residual: float
     input_psd: object = field(compare=False)  # callable theta -> (nu - S_Z)^+
     band_crossings: tuple = ()
-
-
-def _mean_and_bound(spec: PsdSpec):
-    """mean(S) of a white or MA(1) spectrum, and sigma2 (|b0| + |b1|)^2 =
-    max S, which nu0 = mean S + P reaches when the band fills."""
-    if spec.form == "white":
-        return spec.level, spec.level
-    b0, b1 = spec.coeffs
-    return (spec.sigma2 * (b0 * b0 + b1 * b1),
-            spec.sigma2 * (abs(b0) + abs(b1)) ** 2)
 
 
 def _sin_minus_x_cos(x):
@@ -206,7 +193,7 @@ def _ma1_width(t, tau):
         f"{_WIDTH_MAX_ITER} iterations (last width {x!r})")
 
 
-def _ma1_level(spec: PsdSpec, power: float, nu0: float):
+def _ma1_level(spec: PsdSpec, power: float, nu0: float, bound: float):
     """(nu, edges, filled) for MA(1) taps (b0, b1) in closed form.  In the
     distance u from its minimum (at pi where b0 b1 > 0, else at 0),
     S = m + 2a sin^2(u/2) with m = sigma2 (|b0| - |b1|)^2 and
@@ -223,48 +210,6 @@ def _ma1_level(spec: PsdSpec, power: float, nu0: float):
     if b0 * b1 > 0.0:
         return nu, (0.0, math.pi - phi, math.pi), (False, True)
     return nu, (0.0, phi, math.pi), (True, False)
-
-
-def _is_ma1(spec: PsdSpec):
-    return spec.form == "ma" and len(spec.coeffs) == 2
-
-
-def _solve_level(spec: PsdSpec, power: float):
-    """The water level nu, with the breakpoints and filled flags of its
-    pieces: for white noise and MA(1), a full band's nu0 first, then MA(1)
-    in closed form, as tuples; any other spectrum goes to the array half,
-    _waterfill_arrays, with Newton's method as the module docstring sets
-    out.  An unconverged nu is never returned."""
-    if not 0 < power < math.inf:
-        raise ValueError("power budget must be positive and finite")
-    if spec.form != "white" and not _is_ma1(spec):
-        from . import _waterfill_arrays
-        return _waterfill_arrays._solve_level(spec, power)
-    mean, bound = _mean_and_bound(spec)
-    nu0 = mean + power
-    if nu0 >= bound:
-        return nu0, (0.0, math.pi), (True,)
-    return _ma1_level(spec, power, nu0)
-
-
-def water_level(psd: PsdSpec, power: float) -> float:
-    """Water level nu with mean((nu - S_Z)^+) = power; raises
-    ConvergenceError if the Newton solve does not converge."""
-    return _solve_level(psd, power)[0]
-
-
-def _reject_vanishing(spec: PsdSpec):
-    """A spectrum that is zero on a band gives infinite capacity."""
-    if spec.form == "white":
-        vanishes = spec.level == 0.0
-    elif spec.form == "ma":
-        vanishes = not any(spec.coeffs)
-    else:
-        v = spec.values
-        vanishes = any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:]))
-    if vanishes:
-        raise ValueError("the noise spectrum vanishes on a band, so the "
-                         "capacity is infinite")
 
 
 def _li2(w, v):
@@ -295,7 +240,7 @@ def _li2(w, v):
     return math.pi ** 2 / 6.0 - cmath.log(w) * cmath.log(v) - _li2(v, w)
 
 
-def _ma1_capacity(psd: PsdSpec, nu, edges, filled):
+def _ma1_capacity(psd: PsdSpec, nu, edges, filled, tol):
     """(C, filled power) of an MA(1) spectrum in closed form.  With
     r = b_min / b_max <= 1 over |b0|, |b1|, S = sigma2 b_max^2 |1 - r e^{iu}|^2
     in the distance u from its minimum, so mean ln S = ln(sigma2 b_max^2),
@@ -325,42 +270,108 @@ def _ma1_capacity(psd: PsdSpec, nu, edges, filled):
         w * (nu - si) for w, si in zip(_GL_WEIGHTS, s)) / math.pi
 
 
+def _ma_vanishes(spec: PsdSpec):
+    return not any(spec.coeffs)
+
+
+def _ma1_mean_and_bound(spec: PsdSpec):
+    """mean(S) of MA(1) taps (b0, b1), and sigma2 (|b0| + |b1|)^2 = max S."""
+    b0, b1 = spec.coeffs
+    return (spec.sigma2 * (b0 * b0 + b1 * b1),
+            spec.sigma2 * (abs(b0) + abs(b1)) ** 2)
+
+
+@dataclass(frozen=True)
+class _Form:
+    """One spectral form's row of the water-filling table: vanishes(spec),
+    whether S is zero on a band; mean_and_bound(spec) -> (mean S, bound),
+    with bound >= max S, so that nu0 = mean S + P >= bound fills the band;
+    partial_level(spec, power, nu0, bound) -> (nu, edges, filled) below it,
+    the breakpoints over [0, pi] and filled flags of the pieces; and
+    capacity(spec, nu, edges, filled, tol) -> (C, F(nu)), the capacity in
+    bits and the filled power recomputed at nu for the power check."""
+
+    vanishes: object
+    mean_and_bound: object
+    partial_level: object
+    capacity: object
+
+
+_WHITE = _Form(
+    vanishes=lambda spec: spec.level == 0.0,
+    mean_and_bound=lambda spec: (spec.level, spec.level),
+    # nu0 = N + P >= N = max S: white noise fills the band at every power
+    partial_level=None,
+    capacity=lambda spec, nu, edges, filled, tol: (
+        0.5 * math.log2(nu / spec.level), nu - spec.level),
+)
+_MA1 = _Form(_ma_vanishes, _ma1_mean_and_bound, _ma1_level, _ma1_capacity)
+
+
+def _form(spec: PsdSpec) -> _Form:
+    """The row of spec's form: white noise and MA(1) from this module,
+    MA(q != 1) and samples from the array half, imported on first use."""
+    if spec.form == "white":
+        return _WHITE
+    if spec.form == "ma" and len(spec.coeffs) == 2:
+        return _MA1
+    from . import _waterfill_arrays as arrays
+    return arrays._MA if spec.form == "ma" else arrays._SAMPLES
+
+
+def _solve_level(spec: PsdSpec, power: float, row: _Form):
+    """The water level nu, with the breakpoints and filled flags of its
+    pieces: nu0 = mean S + P where it reaches the row's bound on max S, so
+    that the band fills, else the row's partial level, as the module
+    docstring sets out.  An unconverged nu is never returned."""
+    if not 0 < power < math.inf:
+        raise ValueError("power budget must be positive and finite")
+    mean, bound = row.mean_and_bound(spec)
+    nu0 = mean + power
+    if nu0 >= bound:
+        return nu0, (0.0, math.pi), (True,)
+    return row.partial_level(spec, power, nu0, bound)
+
+
+def water_level(psd: PsdSpec, power: float) -> float:
+    """Water level nu with mean((nu - S_Z)^+) = power; raises
+    ConvergenceError if the Newton solve does not converge."""
+    return _solve_level(psd, power, _form(psd))[0]
+
+
 def _check_floor(tol, *values):
     """Raise ConvergenceError when tol is below the roundoff floor of the
     values: a tolerance below roundoff can never be certified honestly."""
     floor = 4.0 * _EPS * max(max(abs(v) for v in values), 1.0)
     if tol < floor:
         raise ConvergenceError(
-            f"abs_tolerance {tol:g} is below the achievable roundoff floor "
+            f"tolerance {tol:g} is below the achievable roundoff floor "
             f"{floor:.2e}")
 
 
 def nonfeedback_capacity(psd: PsdSpec, power: float,
-                         config: QuadratureConfig | None = None) -> WaterfillSolution:
+                         tol: float = 1e-10) -> WaterfillSolution:
     """Water-filling solution and capacity mean(0.5*log2(max(S, nu)/S)).
 
-    Raises ValueError for a spectrum that vanishes on a band (white level
-    0, all-zero taps, two adjacent zero samples), whose capacity is
-    infinite, and ConvergenceError when the stated tolerance cannot be
-    met, e.g. for an MA spectrum with multiple zeros on the unit circle.
+    tol is absolute on the capacity in bits and, scaled by max(1, P), on
+    the power check: the filled power, recomputed at the returned level,
+    against the budget P.  Raises ValueError for a tol or power that is
+    not positive and finite and for a spectrum that vanishes on a band
+    (white level 0, all-zero taps, two adjacent zero samples), whose
+    capacity is infinite; ConvergenceError when tol cannot be met, e.g. for
+    an MA spectrum with multiple zeros on the unit circle.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError("tolerance must be positive and finite")
     power = float(power)
-    _reject_vanishing(psd)
-    tol = (config or DEFAULT_QUADRATURE).abs_tolerance
-    nu, edges, filled = _solve_level(psd, power)
-    if psd.form == "white":
-        capacity = 0.5 * math.log2(nu / psd.level)
-        _check_floor(tol, capacity)
-        residual = abs(nu - psd.level - power)
-    elif _is_ma1(psd):
-        capacity, filled_power = _ma1_capacity(psd, nu, edges, filled)
-        _check_floor(tol, capacity)
-        _check_floor(tol * max(1.0, power), filled_power)
-        residual = abs(filled_power - power)
-    else:
-        from . import _waterfill_arrays
-        capacity, residual = _waterfill_arrays._capacity(
-            psd, power, nu, edges, filled, tol)
+    row = _form(psd)
+    if row.vanishes(psd):
+        raise ValueError("the noise spectrum vanishes on a band, so the "
+                         "capacity is infinite")
+    nu, edges, filled = _solve_level(psd, power, row)
+    capacity, filled_power = row.capacity(psd, nu, edges, filled, tol)
+    _check_floor(tol, capacity)
+    _check_floor(tol * max(1.0, power), filled_power)
 
     def input_psd(th):
         import numpy as np
@@ -371,7 +382,7 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
         power=power,
         water_level=nu,
         capacity_bits=capacity,
-        power_residual=residual,
+        power_residual=abs(filled_power - power),
         input_psd=input_psd,
         band_crossings=tuple(
             float(edges[i + 1]) for i in range(len(filled) - 1)

@@ -357,6 +357,18 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sk-rate", "--power", "1", "--tol", "nan"),
+        ("simulate", "--power", "1", "--tol", "1e-8"),
+    ], ids=["sk-rate", "simulate"])
+    def test_tol_only_where_it_is_read(self, capsys, argv):
+        """sk-rate and simulate read no tolerance, so argparse rejects
+        --tol there."""
+        with pytest.raises(SystemExit) as exit_:
+            main(list(argv))
+        assert exit_.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
     def test_counterexample_honours_tol(self, capsys):
         code, _, err = run(capsys, "counterexample", "--tol", "1e-20")
         assert code == 3

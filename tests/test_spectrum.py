@@ -7,7 +7,6 @@ import pytest
 from gfcap.spectrum import (
     PAPER_CHANNEL,
     PsdSpec,
-    QuadratureConfig,
     load_psd,
     psd_eval,
 )
@@ -82,7 +81,6 @@ class TestPsdEval:
         lambda: PsdSpec.white(math.inf),
         lambda: PsdSpec.from_samples([1.0, math.nan]),
         lambda: PsdSpec.from_samples([1.0, math.inf]),
-        lambda: QuadratureConfig(abs_tolerance=math.nan),
     ])
     def test_non_finite_fields_rejected(self, make):
         with pytest.raises(ValueError):

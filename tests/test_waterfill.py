@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -537,20 +538,22 @@ def test_full_band_work_budget(monkeypatch, spec, power, eigensolves):
 ], ids=["paper_p7", "ma8_p1e3", "white_p3"])
 def test_full_band_power_check_is_independent_of_the_solve(monkeypatch, spec,
                                                            power):
-    """The full-band level is nu0 = mean S + P from _mean_and_bound, and
-    the power check evaluates S on its own: a mean off by delta puts the
-    level off by delta, and the power residual reads delta.  White noise
-    and MA(1) take the mean from waterfill, other forms from its array
-    half."""
-    owner = waterfill if spec.form == "white" or len(spec.coeffs) == 2 \
-        else arrays
-    delta, mean_and_bound = 1e-6, owner._mean_and_bound
+    """The full-band level is nu0 = mean S + P from the row's
+    mean_and_bound, and the power check evaluates S on its own: a mean off
+    by delta puts the level off by delta, and the power residual reads
+    delta."""
+    delta, form = 1e-6, waterfill._form
 
-    def shifted(psd):
-        mean, bound = mean_and_bound(psd)
-        return mean + delta, bound
+    def shifted_form(psd):
+        row = form(psd)
 
-    monkeypatch.setattr(owner, "_mean_and_bound", shifted)
+        def shifted(psd):
+            mean, bound = row.mean_and_bound(psd)
+            return mean + delta, bound
+
+        return dataclasses.replace(row, mean_and_bound=shifted)
+
+    monkeypatch.setattr(waterfill, "_form", shifted_form)
     sol = nonfeedback_capacity(spec, power)
     assert sol.band_crossings == ()
     assert sol.power_residual == pytest.approx(delta, rel=1e-6)
@@ -662,7 +665,7 @@ def test_sampled_start_on_both_sides_of_the_root(monkeypatch):
         spec = PsdSpec.ma(min_phase_taps(rng, q),
                           float(10 ** rng.uniform(-1, 1)))
         s, oracle = direct_psd(spec), Oracle(spec)
-        mean = (waterfill if q == 1 else arrays)._mean_and_bound(spec)[0]
+        mean = waterfill._form(spec).mean_and_bound(spec)[0]
         smax = max(s(t) for t in np.linspace(0.0, PI, 1025))
         for u in (0.02, 0.2, 0.7):
             # below smax - mean S the band does not fill
@@ -1366,3 +1369,67 @@ def test_minimum_phase_capacity_property(case):
     assert roots.water_level == nu
     assert roots.capacity_bits == pytest.approx(
         sol.capacity_bits, abs=4 * EPS * max(jensen_polyval(spec)[2], 1.0))
+
+
+ROWS = {
+    "white": PsdSpec.white(0.7),
+    "ma1": PAPER_CHANNEL,
+    "ma3": PsdSpec.ma((1.0, 0.4, -0.3, 0.2)),
+    "samples": PsdSpec.from_samples((1.0, 2.0, 0.5, 3.0, 1.5)),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-10],
+                         ids=["nan", "inf", "zero", "negative"])
+@pytest.mark.parametrize("row", ROWS)
+def test_tol_is_checked_before_any_solve(monkeypatch, row, tol):
+    """A tolerance that is not positive and finite is rejected before the
+    level is solved, on every row of the table of forms."""
+    def no_solve(*args):
+        raise AssertionError("the level was solved")
+
+    monkeypatch.setattr(waterfill, "_solve_level", no_solve)
+    with pytest.raises(ValueError, match="tolerance"):
+        nonfeedback_capacity(ROWS[row], 0.3, tol)
+
+
+def test_conjecture_check_rejects_a_bad_tol():
+    with pytest.raises(ValueError, match="tolerance"):
+        conjecture_check(1.0, tol=math.nan)
+
+
+# (water_level, capacity_bits, power_residual, band_crossings) at full
+# precision, recorded before the table of forms replaced the branches on
+# the form: one case per row and band type
+TABLE_OUTPUTS = [
+    (PsdSpec.white(0.7), 1.3, (2.0, 0.7572865864148791, 0.0, ())),
+    (PsdSpec.ma((1.0, 0.6), 1.5), 5.0, (7.04, 1.1153064640707082, 0.0, ())),
+    (PsdSpec.ma((1.0, -0.6), 1.5), 0.4,
+     (1.6697567604792645, 0.30929913108793444, 5.551115123125783e-17,
+      (1.363626891533352,))),
+    (PsdSpec.ma((1.0, 0.4, -0.3, 0.2)), 30.0,
+     (31.29, 2.4838148767330988, 0.0, ())),
+    (PsdSpec.ma((1.0, 0.4, -0.3, 0.2)), 0.3,
+     (1.5159487375509992, 0.33293460417199794, 1.6653345369377348e-16,
+      (0.4266702090470296, 1.3249211792264672, 2.2189982968911375))),
+    (PsdSpec.ma((0.2, -0.3, 0.4, 1.0)), 0.3,
+     (1.515948737550999, 0.3329346041719979, 1.6653345369377348e-16,
+      (0.4266702090470296, 1.3249211792264672, 2.2189982968911375))),
+    (PsdSpec.from_samples((1.0, 2.0, 0.5, 3.0, 1.5)), 10.0,
+     (11.6875, 1.4505967293566484, 0.0, ())),
+    (PsdSpec.from_samples((1.0, 2.0, 0.5, 3.0, 1.5)), 0.4,
+     (1.9355656451175713, 0.20197496817055527, 1.6653345369377348e-16,
+      (0.7347915394130894, 0.8191359127203542, 2.0217925752396217,
+       2.9135310151135494))),
+]
+
+
+@pytest.mark.parametrize("spec, power, expected", TABLE_OUTPUTS, ids=[
+    "white", "ma1_full", "ma1_partial", "ma3_minphase_full",
+    "ma3_minphase_partial", "ma3_nonmin_partial", "samples_full",
+    "samples_partial"])
+def test_table_outputs_are_bit_for_bit(spec, power, expected):
+    """Every row's outputs, full and partial bands, to the last bit."""
+    sol = nonfeedback_capacity(spec, power)
+    assert (sol.water_level, sol.capacity_bits, sol.power_residual,
+            sol.band_crossings) == expected
