@@ -3,10 +3,12 @@
 waterfill solves white noise and MA(1) in scalar closed forms and imports
 this module on first use, for everything else: the rows _MA and _SAMPLES
 of its table of forms, which waterfill._form picks.  They hold the FFT
-samples of B and their minimum-phase certificate, the sampled start, the
-tracked crossings and the colleague matrix's check of them, the Newton
-loop, the roots of B with Jensen's formula and the dilogarithm, and the
-power checks.  The method is set out in waterfill's docstring.
+samples of B and their winding certificate, the sampled start, the
+tracked crossings with the samples' check of them and the colleague
+matrix's where that declines, the Newton loop, the cepstrum of the
+samples with its certificate, the roots of B with Jensen's formula and
+the dilogarithm where the cepstrum declines, and the power checks.  The
+method is set out in waterfill's docstring.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ _CROSSING_MAX_ITER = 60
 # agree with its roots to this: compared in cos(theta), the check allows for
 # arccos, which loses digits next to 0 and pi
 _CHECK_WINDOW = 1e-8
+# Radii of the circles |z| = rho on which the cepstrum's certificate bounds
+# ln |B|, and the most samples it takes before it declines
+_LADDER = (2.0, 1.5, 1.25, 1.12, 1.06)
+_CEPSTRUM_MAX_SIZE = 4096
 
 
 class _LostCrossing(Exception):
@@ -42,12 +48,16 @@ class _LostCrossing(Exception):
     the colleague matrix's crossings."""
 
 
+@lru_cache(maxsize=256)
 def _cosine_series(spec: PsdSpec):
     """c with S(theta) = sum_k c[k] cos(k theta) = sum_k c[k] T_k(cos theta),
-    from the autocorrelation of the MA taps."""
+    from the autocorrelation of the MA taps.  Cached per spectrum, like
+    _ma_samples, so the level and the capacity of one op share it; read-only,
+    since every caller shares the one array."""
     b = np.asarray(spec.coeffs)
     c = 2.0 * spec.sigma2 * np.correlate(b, b, mode="full")[len(b) - 1:]
     c[0] *= 0.5
+    c.flags.writeable = False
     return c
 
 
@@ -169,21 +179,64 @@ def _polish(c, nu, edges, filled):
     return np.array(polished)
 
 
-def _tracked_terms(c, s):
-    """terms(nu) -> (F(nu), F'(nu), edges, filled), as lists, from
-    crossings tracked on the samples s of S at theta_n = n pi / (len(s) - 1)
-    over [0, pi], all in plain Python past one sign test.  Each sign change
-    of s - nu brackets a crossing, which _Series.crossing solves from the
-    crossing in the same bracket at the previous level, moved by its
-    first-order shift (nu - nu_prev) / S', or else from the secant of the
-    bracket's two samples.  The flags alternate from that of the first
-    sample, and each filled piece adds its closed-form area.  A band
-    between two samples is missed; the colleague matrix's check at the
-    converged level catches that."""
+def _tracked_terms(c, s, rounding):
+    """(terms, certified).  terms(nu) -> (F(nu), F'(nu), edges, filled), as
+    lists, from crossings tracked on the samples s of S at
+    theta_n = n h, h = pi / (len(s) - 1), over [0, pi], all in plain Python
+    past one sign test.  Each sign change of s - nu brackets a crossing,
+    which _Series.crossing solves from the crossing in the same bracket at
+    the previous level, moved by its first-order shift
+    (nu - nu_prev) / S', or else from the secant of the bracket's two
+    samples.  The flags alternate from that of the first sample, and each
+    filled piece adds its closed-form area.  A band between two samples is
+    missed there.
+
+    certified(nu), at the level of the last terms call, is True where the
+    samples alone prove the tracked crossings are all of them, each s_n
+    within rounding of S(theta_n) and farther than that from nu, so that
+    its side of nu is S's.  With K = sum k^2 |c_k| >= max |S''|:
+    - a crossing tracked with slope S' keeps S monotone within
+      (|S'| - its rounding) / K of where S' was taken, so S crosses nu
+      once there, in the crossing's own interval between samples, which
+      that window must cover, and nowhere else in it;
+    - between two samples S stays within D = (h^2 / 8) K of its chord, so
+      an interval whose ends lie on one side of nu, both farther than
+      D + rounding from it, holds no crossing.
+    Every interval between samples must pass one of the two.  Where any
+    fails, the colleague matrix checks the level instead."""
     series = _Series(c)
     spacing = math.pi / (len(s) - 1)
     values = s.tolist()
     last = {}
+    curvature = float((np.arange(len(c)) ** 2 * np.abs(c)).sum())
+    # the float sums of |S''| and S' round by a few eps per term
+    depth = (spacing * spacing / 8.0 * curvature * (1.0 + 2.0 * len(c) * _EPS)
+             + rounding)
+    slope_rounding = 2.0 * (len(c) + 4) * _EPS * curvature
+
+    def certified(nu):
+        gap = np.abs(s - nu)
+        if not np.all(gap > rounding):
+            return False
+        below = s < nu
+        passed = ((below[1:] == below[:-1])
+                  & (gap[1:] > depth) & (gap[:-1] > depth))
+        floor = series.rounding * (series.size + nu)
+        for i, (theta, slope, _) in last.items():
+            if not abs(slope) > slope_rounding:
+                return False
+            # the returned crossing lies within its last step of where the
+            # slope was taken
+            reach = ((abs(slope) - slope_rounding) / curvature
+                     - floor / abs(slope) - 8.0 * _EPS * math.pi)
+            # the intervals first..end - 1 lie inside the window, with room
+            # for the rounding of the quotients
+            first = math.ceil((theta - reach) / spacing + 1e-9)
+            end = math.floor((theta + reach) / spacing - 1e-9)
+            if not first <= i < end:
+                return False
+            passed[max(first, 0):end] = True
+        return bool(passed.all())
 
     def terms(nu):
         nonlocal last
@@ -211,7 +264,7 @@ def _tracked_terms(c, s):
                 width += b - a
         return area / math.pi, width / math.pi, edges, filled
 
-    return terms
+    return terms, certified
 
 
 def _sampled_level(s, power):
@@ -230,14 +283,21 @@ def _cos_mid(edges, k):
     return np.cos(0.5 * (edges[:-1] + edges[1:])[:, None] * k)
 
 
-def _ma_areas(c, k, nu, edges, cos_mid):
-    """The area of nu - S on each piece between edges, for k = 1..len(c) - 1,
-    from the antiderivative (nu - c0) theta - sum_k c_k sin(k theta) / k,
-    differenced over each piece as 2 cos(k mid) sin(k half) so that a
-    narrow band does not lose its digits to cancellation."""
+def _waves(edges, k, cos_mid):
+    """(half, waves): the half-width of each piece between edges, and
+    cos(k mid) sin(k half) on it for each k, from cos_mid = _cos_mid(edges,
+    k).  The integral of cos(k theta) over a piece is 2 waves / k, which
+    keeps the digits of a narrow piece that sin(kb) - sin(ka) would cancel."""
     half = 0.5 * (edges[1:] - edges[:-1])
-    return (2.0 * (nu - c[0]) * half
-            - (cos_mid * np.sin(half[:, None] * k)) @ (2.0 * c[1:] / k))
+    return half, cos_mid * np.sin(half[:, None] * k)
+
+
+def _ma_areas(c, nu, half, waves):
+    """The area of nu - S on each piece, from the antiderivative
+    (nu - c0) theta - sum_k c_k sin(k theta) / k, with half and waves from
+    _waves for k = 1..len(c) - 1."""
+    k = np.arange(1, len(c))
+    return 2.0 * (nu - c[0]) * half - waves @ (2.0 * c[1:] / k)
 
 
 def _sorted_unique(x):
@@ -268,7 +328,7 @@ def _ma_pieces(c):
 
     def pieces(nu):
         edges, filled, cos_mid = split(nu, crossings(nu))
-        return edges, filled, _ma_areas(c, k, nu, edges, cos_mid)
+        return edges, filled, _ma_areas(c, nu, *_waves(edges, k, cos_mid))
 
     return crossings, split, pieces
 
@@ -365,35 +425,49 @@ def _newton(terms, nu, nu0, power, bound):
 def _ma_level(spec: PsdSpec, power, nu0, bound):
     """(nu, edges, filled) on a partial MA(q >= 2) band.  Newton starts from
     the discrete water level of the FFT samples of S over the circle
-    (capped at nu0) and runs on _tracked_terms.  One colleague eigensolve
-    at the converged level checks the tracked crossings: its real roots in
-    [-1, 1] must match them one to one, within _CHECK_WINDOW in
-    cos(theta), so the flips agree in number and place and no band was
+    (capped at nu0) and runs on _tracked_terms.  At the converged level the
+    samples certify the tracked crossings where they can, with no
+    eigensolve; where they cannot, one colleague eigensolve checks them: its
+    real roots in [-1, 1] must match them one to one, within _CHECK_WINDOW
+    in cos(theta), so the flips agree in number and place and no band was
     missed.  Then F from the tracked edges is exact, and the level must
     pass the stop test on both sides, |F(nu) - P| <= 4 eps (nu + bound) F'.
     A lost crossing reruns Newton from the sampled start, and any other
     miss from the tracked level (at or above the root where a band was
     missed, since F then falls short), on the colleague matrix's crossings
-    at every step; its returned flips are polished by Newton in theta."""
+    at every step; its returned flips are polished by Newton in theta.
+
+    A sample s_n = sigma2 |B_n|^2 is within sigma2 r (2 sum |b_k| + r) of
+    S(theta_n), r the FFT's rounding, plus a few eps of bound for its own
+    products and for the rounding of the cosine series c, whose terms sum
+    to at most bound = sigma2 (sum |b_k|)^2."""
     c = _cosine_series(spec)
-    crossings, split, pieces = _ma_pieces(c)
-    s = spec.sigma2 * np.abs(_ma_samples(spec)[0]) ** 2
+    values, rounding, _ = _ma_samples(spec)
+    s = spec.sigma2 * np.abs(values) ** 2
+    total = sum(map(abs, spec.coeffs))
+    error = (spec.sigma2 * rounding * (2.0 * total + rounding)
+             + (2 * len(c) + 5) * _EPS * bound)
     # the samples of the whole circle: the inner ones of the half twice
     nu = min(_sampled_level(np.concatenate((s, s[1:-1])), power), nu0)
+    terms, certified = _tracked_terms(c, s, error)
+    colleague = None
     try:
         level, filled_power, slope, edges, filled = _newton(
-            _tracked_terms(c, s), nu, nu0, power, bound)
+            terms, nu, nu0, power, bound)
     except (_LostCrossing, ConvergenceError):
         pass
     else:
-        check = np.sort(crossings(level))
-        if (len(check) == len(edges) - 2
-                and np.all(np.abs(np.cos(check) - np.cos(edges[1:-1]))
-                           <= _CHECK_WINDOW)
-                and abs(filled_power - power)
-                <= 4.0 * _EPS * (level + bound) * slope):
-            return level, np.array(edges), np.array(filled)
+        if abs(filled_power - power) <= 4.0 * _EPS * (level + bound) * slope:
+            if certified(level):
+                return level, np.array(edges), np.array(filled)
+            colleague = _ma_pieces(c)
+            check = np.sort(colleague[0](level))
+            if (len(check) == len(edges) - 2
+                    and np.all(np.abs(np.cos(check) - np.cos(edges[1:-1]))
+                               <= _CHECK_WINDOW)):
+                return level, np.array(edges), np.array(filled)
         nu = level
+    _, split, pieces = colleague or _ma_pieces(c)
     nu, _, _, edges, filled = _newton(_terms(pieces), nu, nu0, power, bound)
     if len(edges) > 2:
         edges, filled, _ = split(nu, _polish(c, nu, edges, filled))
@@ -406,6 +480,48 @@ def _samples_level(spec: PsdSpec, power, nu0, bound):
     nu, _, _, edges, filled = _newton(_terms(_samples_pieces(spec.values)),
                                       nu0, nu0, power, bound)
     return nu, edges, filled
+
+
+def _fft_size(q):
+    """The first power of two from _FFT_SIZE above 4q."""
+    size = _FFT_SIZE
+    while size <= 4 * q:
+        size *= 2
+    return size
+
+
+def _winding(values, q, rounding):
+    """(winding, low, high) of a polynomial B of degree q from its real FFT
+    values at N = 2 (len(values) - 1) points, each within rounding of
+    B(x_n): its winding number about 0 on the unit circle, and
+    low <= |B| <= high there; or None where the samples do not certify
+    them.
+
+    On the arc between two neighbouring samples B is within
+    (h^2 / 8) max |B''| <= (pi q / N)^2 M / 2 of the chord between its
+    ends, h = 2 pi / N, by Bernstein's inequality twice, where
+    M = high bounds max |B| on the circle (the largest sample, plus
+    rounding, over 1 - pi q / N, by Bernstein's inequality once).  The
+    computed chords are within the rounding of the true ones, and a chord
+    whose ends have moduli at least r and turn by Delta < pi keeps
+    r cos(Delta / 2) from 0.  So where min |values| cos(max |Delta| / 2)
+    exceeds (pi q / N)^2 M / 2 plus the rounding, by low, B has no zero on
+    the circle, keeps at least low from 0, and winds about 0 as the
+    polygon of the samples does: sum Delta / pi times, each Delta the
+    principal angle of values[n + 1] / values[n], the conjugate half adding
+    as much again."""
+    r = np.abs(values)
+    step = values[1:] * values[:-1].conj()
+    turn = np.arctan2(step.imag, step.real)
+    h = math.pi * q / (2 * (len(values) - 1))
+    top = float(r.max()) + rounding
+    margin = 0.5 * h * h * top / (1.0 - h) + rounding
+    reach = (float(r.min()) * math.cos(0.5 * float(np.abs(turn).max()))
+             * (1.0 - 8.0 * _EPS))
+    if reach > margin:
+        return (round(float(turn.sum()) / math.pi), reach - margin,
+                top / (1.0 - h))
+    return None
 
 
 @lru_cache(maxsize=256)
@@ -421,40 +537,25 @@ def _ma_samples(spec: PsdSpec):
     B about 0 on the unit circle, or None where the samples do not certify
     it.  Cached per spectrum, like _ma_roots.
 
-    The certificate: on the arc between two neighbouring samples B is
-    within (h^2 / 8) max |B''| <= (pi q / N)^2 M / 2 of the chord between
-    its ends, h = 2 pi / N, by Bernstein's inequality twice, where M bounds
-    max |B| on the circle (the largest sample, plus rounding, over
-    1 - pi q / N, by Bernstein's inequality once).  The computed chords are
-    within the rounding of the true ones, and a chord whose ends have
-    moduli at least r and turn by Delta < pi keeps r cos(Delta / 2) from 0.
-    So where min |values| cos(max |Delta| / 2) exceeds
-    (pi q / N)^2 M / 2 plus the rounding, B has no zero on the circle and
-    winds about 0 as the polygon of the samples does: sum Delta / pi
-    times, each Delta the principal angle of values[n + 1] / values[n],
-    the conjugate half adding as much again.  Winding 0 leaves no zero of
-    B in the closed unit disk, and then mean ln S = ln(sigma2 b0^2)
-    exactly.  N is tried at the first power of two from _FFT_SIZE above 4q,
-    then at four times it, where the margin is 16 times smaller."""
+    _winding certifies it.  Winding 0 leaves no zero of B in the closed
+    unit disk, and then mean ln S = ln(sigma2 b0^2) exactly.  N is tried at
+    the first power of two from _FFT_SIZE above 4q, then at four times it,
+    where the margin is 16 times smaller.  Where |b0| <= |b_q| the product
+    of B's roots, b0 / b_q up to sign (Vieta), puts one in the closed unit
+    disk, so winding 0 is impossible: the samples are taken at the first
+    size and the winding is not computed."""
     taps = np.asarray(spec.coeffs)
     q = len(taps) - 1
     total = sum(map(abs, spec.coeffs))
-    size = _FFT_SIZE
-    while size <= 4 * q:
-        size *= 2
+    size = _fft_size(q)
     for size in (size, 4 * size):
         values = np.fft.rfft(taps, size)
         rounding = 8.0 * math.log2(size) * _EPS * total
-        r = np.abs(values)
-        step = values[1:] * values[:-1].conj()
-        turn = np.arctan2(step.imag, step.real)
-        h = math.pi * q / size
-        margin = 0.5 * h * h * (float(r.max()) + rounding) / (1.0 - h) \
-            + rounding
-        reach = (float(r.min()) * math.cos(0.5 * float(np.abs(turn).max()))
-                 * (1.0 - 8.0 * _EPS))
-        if reach > margin:
-            return values, rounding, round(float(turn.sum()) / math.pi)
+        if abs(taps[0]) <= abs(taps[-1]):
+            break
+        certified = _winding(values, q, rounding)
+        if certified is not None:
+            return values, rounding, certified[0]
     return values, rounding, None
 
 
@@ -569,6 +670,100 @@ def _root_error(spec: PsdSpec):
     return (float(gap.max()) + scale + rounding) / (1.0 - math.pi * q / count)
 
 
+def _log_series(spec: PsdSpec, width, tol):
+    """The weights 2 a_k / k, k = 1..K, of the cosine series
+    ln S = ln(sigma2 b0^2) + sum_k a_k cos(k theta), so that
+    int_U ln S = |U| ln(sigma2 b0^2) + sum_pieces waves @ weights, with
+    waves from _waves over the pieces of U, to within tol / 2 in C; or None
+    where the certificate below declines.  B must have winding 0, so ln B
+    is analytic on the closed unit disk and the mean of ln |B| is ln |b0|.
+
+    The cepstrum: a_k is twice the k-th output of one inverse real FFT of
+    u_n = 2 ln |B_n| over the N samples of the circle.  Where B has no
+    zero in |z| <= rho, 2 ln |B| - 2 ln |b0| is harmonic there and vanishes
+    at 0, and its coefficient a_k rho^k on |z| = rho is at most 2 M_rho,
+    where M_rho bounds it on that circle: |a_k| <= 2 M_rho rho^-k.  The
+    tail past K sums to at most 2 M_rho rho^-K / (1 - 1/rho), and the
+    aliases that N >= 2 (K + 1) samples fold onto a_1..a_K to at most twice
+    that, so 6 M_rho rho^-K / (1 - 1/rho) bounds both; each moves
+    int_U ln S by at most |U| per unit, as |int_U cos(k theta)| <= |U|.
+
+    rho, low and high come from _zero_free_disk, and
+    M_rho = 2 max(ln(high / |b0|), ln(|b0| / low)).  Each u_n
+    is within 2 r / (min |B_n| - r) of its true value, r the FFT's
+    rounding, plus the log's and the inverse FFT's rounding, a few
+    log2(N) eps max |u_n|; the coefficients carry that error into
+    int_U ln S at most |U| ((2 / pi) ln N + 2) times, a bound on the
+    Lebesgue constant of trigonometric interpolation at N points.  K is
+    the least that brings both bounds, as an error in C, to tol / 2; N
+    doubles from the samples' size until N / 2 > K, and the certificate
+    declines past _CEPSTRUM_MAX_SIZE."""
+    disk = _zero_free_disk(spec.coeffs)
+    if disk is None:
+        return None
+    rho, low, high = disk
+    b0 = abs(spec.coeffs[0])
+    # 6 M_rho / (1 - 1/rho), in bits of C per unit of rho^-K
+    alias = (12.0 * max(math.log(high / b0), math.log(b0 / low), _EPS)
+             / (1.0 - 1.0 / rho) * width / (2.0 * math.pi * _LN2))
+    total = sum(map(abs, spec.coeffs))
+
+    def count(size, lowest, highest):
+        """K at size samples of moduli lowest to highest, or inf where the
+        rounding alone passes tol / 2."""
+        rounding = 8.0 * math.log2(size) * _EPS * total
+        if lowest <= rounding:
+            return math.inf
+        top = 2.0 * max(abs(math.log(lowest)), abs(math.log(highest)))
+        noise = ((2.0 / math.pi * math.log(size) + 2.0)
+                 * (2.0 * rounding / (lowest - rounding)
+                    + 8.0 * math.log2(size) * _EPS * top)
+                 * width / (2.0 * math.pi * _LN2))
+        if not noise < 0.5 * tol:
+            return math.inf
+        return max(1, math.ceil(math.log(alias / (0.5 * tol - noise))
+                                / math.log(rho)))
+
+    modulus = np.abs(_ma_samples(spec)[0])
+    size = sampled = 2 * (len(modulus) - 1)
+    terms = count(size, float(modulus.min()), float(modulus.max()))
+    while terms >= size // 2:
+        size *= 2
+        if size > _CEPSTRUM_MAX_SIZE:
+            return None
+        terms = count(size, float(modulus.min()), float(modulus.max()))
+    if size > sampled:
+        modulus = np.abs(np.fft.rfft(spec.coeffs, size))
+        terms = count(size, float(modulus.min()), float(modulus.max()))
+        if terms >= size // 2:
+            return None
+    x = np.fft.irfft(2.0 * np.log(modulus), size)
+    return 4.0 * x[1:terms + 1] / np.arange(1, terms + 1)
+
+
+def _zero_free_disk(coeffs):
+    """(rho, low, high): the first rung rho of _LADDER where the scaled taps
+    b_k rho^k have _winding 0, so that B has no zero in |z| <= rho, and
+    low <= |B| <= high on |z| = rho; or None.  A rung is skipped with no
+    FFT where |b0| <= |b_q| rho^q, which puts a zero of B in |z| <= rho
+    (Vieta).  Each rung is tried at the samples' first size, then all again
+    at four times it.  The scaled taps carry two roundings each, counted
+    with the FFT's."""
+    q = len(coeffs) - 1
+    first = _fft_size(q)
+    for size in (first, 4 * first):
+        for rho in _LADDER:
+            scaled = [b * rho ** k for k, b in enumerate(coeffs)]
+            if abs(coeffs[0]) <= abs(scaled[-1]):
+                continue
+            certified = _winding(np.fft.rfft(scaled, size), q,
+                                 (8.0 * math.log2(size) + 2.0) * _EPS
+                                 * sum(map(abs, scaled)))
+            if certified is not None and certified[0] == 0:
+                return (rho, *certified[1:])
+    return None
+
+
 def _unfilled_log(spec: PsdSpec, mean_log, nu, edges, filled, tol):
     """int_U ln S / pi over the unfilled set U of a partial MA band, by the
     dilogarithm on the roots z_j of B.  With rho_j = 1 / z_j outside the
@@ -632,12 +827,15 @@ def _bits(nu, edges, filled, filled_log):
 def _ma_capacity(spec: PsdSpec, nu, edges, filled, tol):
     """(C, F(nu)) of an MA(q != 1) spectrum: mean ln S is ln(sigma2 b0^2)
     where _ma_samples certifies minimum phase and Jensen's formula
-    otherwise, less the dilogarithm's int_U ln S on a partial band.  F(nu)
+    otherwise, less int_U ln S on a partial band, from the cepstrum where
+    _log_series certifies it and from the dilogarithm otherwise.  F(nu)
     is, on a full band, nu - sigma2 mean |B(x_n)|^2 over the N roots of
     unity x_n from the half circle's FFT samples (the inner ones count
     twice), exact for N > q, as |B|^2 on the circle is a trigonometric
     polynomial of degree q; on a partial band, the closed-form areas of
-    nu - S between the returned crossings."""
+    nu - S between the returned crossings.  One matrix of
+    cos(k mid) sin(k half) over the pieces serves both the areas and the
+    cepstrum's integral."""
     edges, filled = np.asarray(edges), np.asarray(filled)
     values, _, winding = _ma_samples(spec)
     if winding == 0:
@@ -647,17 +845,23 @@ def _ma_capacity(spec: PsdSpec, nu, edges, filled, tol):
         mean_log = _jensen_mean_log(spec, tol)
     if filled.all():
         ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
-        filled_log, filled_power = mean_log, nu - spec.sigma2 * (
+        return _bits(nu, edges, filled, mean_log), nu - spec.sigma2 * (
             2.0 * float(np.vdot(values, values).real) - ends) / (
             2 * (len(values) - 1))
+    c = _cosine_series(spec)
+    width = float((edges[1:] - edges[:-1])[~filled].sum())
+    weights = _log_series(spec, width, tol) if winding == 0 else None
+    q = len(c) - 1
+    k = np.arange(1, q + 1 if weights is None else max(q, len(weights)) + 1)
+    half, waves = _waves(edges, k, _cos_mid(edges, k))
+    areas = _ma_areas(c, nu, half, waves[:, :q])
+    if weights is None:
+        unfilled_log = _unfilled_log(spec, mean_log, nu, edges, filled, tol)
     else:
-        filled_log = mean_log - _unfilled_log(spec, mean_log, nu, edges,
-                                              filled, tol)
-        c = _cosine_series(spec)
-        k = np.arange(1, len(c))
-        areas = _ma_areas(c, k, nu, edges, _cos_mid(edges, k))
-        filled_power = float(areas[filled].sum()) / math.pi
-    return _bits(nu, edges, filled, filled_log), filled_power
+        unfilled_log = (width * mean_log + float(
+            waves[~filled, :len(weights)].sum(axis=0) @ weights)) / math.pi
+    return (_bits(nu, edges, filled, mean_log - unfilled_log),
+            float(areas[filled].sum()) / math.pi)
 
 
 def _samples_capacity(spec: PsdSpec, nu, edges, filled, tol):

@@ -19,12 +19,20 @@ the taps at N points, a power of two above 4q, capped at nu0, or, where F
 is below P there, one Newton step from below it, which convexity puts at
 or above the root.  Its Newton iterates take their crossings from the same
 samples: each sign change of S_n - nu brackets one, solved by Newton in
-theta itself in plain Python and tracked from level to level.  One
-eigensolve of the colleague matrix at the converged level checks them: its
-roots must match the tracked crossings one to one, so no band between two
-samples was missed, and the level must pass the stop test on both sides.
-Any miss reruns Newton from there on the colleague matrix's crossings at
-every level, as before, and polishes the returned ones by Newton in theta.
+theta itself in plain Python and tracked from level to level.  At the
+converged level the samples check them with no eigensolve: with
+K = sum k^2 |c_k| >= max |S''|, a tracked crossing whose slope exceeds K
+times the distance to a sample keeps S monotone up to it, so its interval
+between samples holds that one crossing and its neighbours in reach hold
+none; any other interval holds none where both its samples lie farther
+than (h^2 / 8) K, the chord's greatest gap from S, from the level, h the
+sample spacing.  Each sample counts its rounding.  Where an interval
+passes neither test, one eigensolve of the colleague matrix checks the
+level: its roots must match the tracked crossings one to one, so no band
+between two samples was missed.  The level must pass the stop test on
+both sides.  Any miss reruns Newton from there on the colleague matrix's
+crossings at every level, as before, and polishes the returned ones by
+Newton in theta.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],
@@ -33,30 +41,44 @@ and no capacity is a quadrature:
 - white: C = 0.5 log2(nu / N);
 - samples: S is linear between the nodes and crossings, and ln S has an
   antiderivative on each filled piece;
-- ma(q >= 2), with MA(1) below: the roots z_j of B(z) = sum_k b_k z^k,
-  the eigenvalues of its companion matrix, are computed at most once per
-  spectrum, where the answer needs them.  Jensen's formula gives
-  mean ln S from them, unless minimum phase is certified (below), and
-  int_F ln S = pi mean ln S - int_U ln S over the unfilled set U.  With
-  rho_j = 1 / z_j outside the unit circle and conj(z_j) inside it,
-  ln S = mean ln S + sum_j ln |1 - rho_j e^{i theta}|^2, so
+- ma(q >= 2), with MA(1) below: int_F ln S = pi mean ln S - int_U ln S
+  over the unfilled set U.  Where B is minimum phase (certified below),
+  mean ln S = ln(sigma2 b0^2), and int_U ln S comes from the cepstrum of
+  the FFT samples: one inverse real FFT of 2 ln |B_n| gives the cosine
+  coefficients a_k of ln S, and int_U ln S = |U| mean ln S
+  + sum_k a_k sum_pieces 2 cos(k mid) sin(k half) / k.
+  The certificate needs a disk |z| <= rho free of zeros of B, from the
+  winding of the scaled taps b_k rho^k, the first of a short ladder of
+  rho; there |a_k| <= 2 M rho^-k, M a bound on |2 ln |B| - 2 ln |b0||
+  on |z| = rho, which bounds the truncated tail and the aliases, and the
+  samples' rounding reaches the sum through the Lebesgue constant of
+  trigonometric interpolation.  The sum runs to the least K whose bound
+  is within tol / 2, at N > 2K samples, doubling N to at most 4096.
+  Elsewhere the roots z_j of B(z) = sum_k b_k z^k, the eigenvalues of its
+  companion matrix, are computed at most once per spectrum.  Jensen's
+  formula gives mean ln S from them, unless minimum phase is certified,
+  and with rho_j = 1 / z_j outside the unit circle and conj(z_j) inside
+  it, ln S = mean ln S + sum_j ln |1 - rho_j e^{i theta}|^2, so
   int_U ln S = |U| mean ln S - 2 sum_j sum_pieces
   Im[Li2(rho_j e^{ib}) - Li2(rho_j e^{ia})] by the dilogarithm Li2.
   S >= nu > 0 on U, so no edge of U sits on a zero of S.
 
-The FFT samples B_n also certify minimum phase, with no roots: between two
-samples B stays within (pi q / N)^2 max |B| / 2 of the chord, by Bernstein's
-inequality, so where every chord keeps farther than that, plus the FFT's
-rounding, from 0, B winds about 0 as the polygon of its samples does.
-Winding 0 leaves no zero of B in the closed disk, and then
+The FFT samples B_n certify the winding number, with no roots: between
+two samples B stays within (pi q / N)^2 max |B| / 2 of the chord, by
+Bernstein's inequality, so where every chord keeps farther than that, plus
+the FFT's rounding, from 0, B winds about 0 as the polygon of its samples
+does.  Winding 0 leaves no zero of B in the closed disk, and then
 mean ln S = ln(sigma2 b0^2) exactly, so a full band needs no eigensolve at
-all.  Otherwise Jensen's formula is certified by the distance within which
-each root is known, where a root near the unit circle could lie on its
-other side; the dilogarithm by the backward error of the roots,
-max |b_q prod_j (x - z_j) - B(x)| over the circle, from the FFT samples at
-4(q + 1) or more roots of unity, with their rounding counted, and bounded
-between them by Bernstein's inequality, which moves ln S on U by at most
-twice that over sqrt(nu / sigma2).
+all.  Where |b0| <= |b_q|, Vieta puts a zero of B in the closed disk, and
+the certificate is not run.  Otherwise Jensen's formula is certified by
+the distance within which each root is known, where a root near the unit
+circle could lie on its other side; the dilogarithm by the backward error
+of the roots, max |b_q prod_j (x - z_j) - B(x)| over the circle, from the
+FFT samples at 4(q + 1) or more roots of unity, with their rounding
+counted, and bounded between them by Bernstein's inequality, which moves
+ln S on U by at most twice that over sqrt(nu / sigma2).  A minimum-phase
+partial band thus makes no eigensolve unless a level check or the
+cepstrum's certificate declines.
 The power check is F(nu) against P: on a full MA band
 nu - sigma2 mean |B_n|^2 over the FFT samples, exact for N > q, and on a
 full samples band nu - mean S from psd_eval at the midpoints of its m

@@ -607,8 +607,8 @@ def test_full_band_capacity_against_scipy(spec, power):
 def test_partial_band_level_budget(monkeypatch, power):
     """The Newton solve of a partial MA(q >= 2) band starts from the sampled
     discrete water level, close to the root, on crossings tracked from the
-    FFT samples, and checks them at the converged level with one colleague
-    eigensolve.  Here on S = |1 + z^2|^2, the paper channel at twice the
+    FFT samples, and the samples certify them at the converged level with
+    no eigensolve.  Here on S = |1 + z^2|^2, the paper channel at twice the
     speed, with the same level.  Where tracking is lost, the solve falls
     back to an eigensolve at each level from the same start: at most 4,
     and the same level to a few ulps.  The paper channel itself, MA(1),
@@ -617,14 +617,13 @@ def test_partial_band_level_budget(monkeypatch, power):
     roots = counted_level_eigensolves(monkeypatch, spec)
     sol = nonfeedback_capacity(spec, power)
     assert len(sol.band_crossings) == 2
-    assert len(roots) == 1
+    assert roots == []
 
-    def lost(c, s):
+    def lost(c, s, rounding):
         def terms(nu):
             raise arrays._LostCrossing("forced")
-        return terms
+        return terms, None
 
-    roots.clear()
     with monkeypatch.context() as patch:
         patch.setattr(arrays, "_tracked_terms", lost)
         fallback = nonfeedback_capacity(spec, power)
@@ -1189,7 +1188,9 @@ def test_perturbed_roots_raise(monkeypatch):
     by 1e-6 must not pass: their sampled backward error bounds the
     capacity's error far above the tolerance, and the solve raises instead
     of returning a number.  Jensen's bound alone passes them, since the
-    moved root lies far from the unit circle."""
+    moved root lies far from the unit circle.  The spectrum is minimum
+    phase, so the cepstrum would serve it with no roots at all; its
+    certificate is made to decline, which leaves the dilogarithm."""
     spec = PsdSpec.ma(min_phase_taps(np.random.default_rng(8), 8))
     oracle = Oracle(spec)
     mean = spec.sigma2 * float(np.sum(np.square(spec.coeffs)))
@@ -1200,6 +1201,9 @@ def test_perturbed_roots_raise(monkeypatch):
     moved = z.copy()
     far = int(np.argmax(np.abs(np.abs(z) - 1.0)))
     moved[far] += 1e-6
+    monkeypatch.setattr(arrays, "_log_series", lambda *args: None)
+    assert nonfeedback_capacity(spec, power).capacity_bits == pytest.approx(
+        sol.capacity_bits, abs=1e-13)
     monkeypatch.setattr(arrays, "_ma_roots", lambda psd: (b, moved))
     arrays._jensen_mean_log(spec, 1e-10)
     with pytest.raises(ConvergenceError, match="backward error"):
@@ -1228,6 +1232,12 @@ def test_fft_samples_rounding_and_winding():
         error = np.hypot((values.real - re).astype(float),
                          (values.imag - im).astype(float))
         assert np.max(error) <= rounding
+        if abs(taps[0]) <= abs(taps[-1]):
+            # a zero of B in the closed disk rules winding 0 out, so the
+            # samples skip the certificate; it still holds when run
+            assert winding is None
+            winding = (arrays._winding(values, len(taps) - 1, rounding)
+                       or (None,))[0]
         if winding is not None:
             inside = np.count_nonzero(np.abs(np.roots(taps[::-1])) < 1.0)
             assert winding == -inside
@@ -1369,6 +1379,219 @@ def test_minimum_phase_capacity_property(case):
     assert roots.water_level == nu
     assert roots.capacity_bits == pytest.approx(
         sol.capacity_bits, abs=4 * EPS * max(jensen_polyval(spec)[2], 1.0))
+
+
+# ---- MA(q >= 2) partial bands without an eigensolve: the level checked on
+# its samples, and int_U ln S from their cepstrum --------------------------
+
+def minimum_phase_partial_bands(seed, count, lo, hi):
+    """MA(2..20) spectra whose zeros of B lie at lo < |z| < hi, real or in
+    conjugate pairs, each with a power that leaves the band partial: a
+    share of max S - mean S, max S from 4096 FFT samples."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        q = int(rng.integers(2, 21))
+        zeros = []
+        while len(zeros) < q:
+            r = rng.uniform(lo, hi)
+            if len(zeros) <= q - 2 and rng.uniform() < 0.5:
+                z = r * np.exp(1j * rng.uniform(0.0, PI))
+                zeros += [z, np.conj(z)]
+            else:
+                zeros.append(r * rng.choice((-1.0, 1.0)))
+        # np.poly lists x^q first; read as b_0 first, the zeros of 1 / z
+        # are z
+        taps = np.real(np.poly(1.0 / np.array(zeros)))
+        spec = PsdSpec.ma(taps, float(10 ** rng.uniform(-1, 1)))
+        s = spec.sigma2 * np.abs(np.fft.rfft(taps, 4096)) ** 2
+        mean = spec.sigma2 * float(taps @ taps)
+        yield spec, float(rng.uniform(0.01, 0.9) * (s.max() - mean))
+
+
+def recorded_log_series(monkeypatch):
+    """Patch the cepstrum to record, per call, whether it certified."""
+    series, served = arrays._log_series, []
+
+    def recorded(*args):
+        weights = series(*args)
+        served.append(weights is not None)
+        return weights
+
+    monkeypatch.setattr(arrays, "_log_series", recorded)
+    return served
+
+
+def test_cepstrum_meets_the_roots_path(monkeypatch):
+    """On minimum-phase partial bands, zeros of B at 1.05 < |z| < 4, the
+    cepstrum's int_U ln S gives the capacity of the roots path (the
+    dilogarithm on the companion matrix's roots, where the cepstrum's
+    certificate is made to decline) to 1e-13, on the same level; the
+    certificate serves at least 200 of the 260 bands."""
+    served = recorded_log_series(monkeypatch)
+    compared = 0
+    for spec, power in minimum_phase_partial_bands(2201, 260, 1.05, 4.0):
+        count = len(served)
+        sol = nonfeedback_capacity(spec, power)
+        assert sol.band_crossings
+        if served[count:] != [True]:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(arrays, "_log_series", lambda *args: None)
+            roots = nonfeedback_capacity(spec, power)
+        assert roots.water_level == sol.water_level
+        assert roots.capacity_bits == pytest.approx(sol.capacity_bits,
+                                                    abs=1e-13)
+        compared += 1
+    assert compared >= 200
+
+
+def mpmath_capacity(spec, nu, crossings):
+    """C from mpmath's quad of ln(nu / S) at 30 digits over the filled
+    pieces between the given crossings, S from its taps by Horner in z."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        taps = [mpmath.mpf(b) for b in spec.coeffs]
+        level, sigma2 = mpmath.mpf(nu), mpmath.mpf(spec.sigma2)
+
+        def s(t):
+            z, acc = mpmath.expj(t), mpmath.mpc(0)
+            for b in reversed(taps):
+                acc = acc * z + b
+            return sigma2 * abs(acc) ** 2
+
+        edges = [mpmath.mpf(0), *map(mpmath.mpf, crossings), mpmath.pi]
+        total = sum(mpmath.quad(lambda t: mpmath.log(level / s(t)), [a, b])
+                    for a, b in zip(edges, edges[1:])
+                    if s((a + b) / 2) < level)
+        return float(total / (2 * mpmath.pi * mpmath.log(2)))
+
+
+def test_cepstrum_against_mpmath(monkeypatch):
+    """Five minimum-phase partial bands served by the cepstrum meet
+    mpmath's 30-digit quad of ln S over their filled pieces to 2e-14."""
+    served = recorded_log_series(monkeypatch)
+    for spec, power in itertools.islice(
+            minimum_phase_partial_bands(2202, 5, 1.1, 3.0), 5):
+        sol = nonfeedback_capacity(spec, power)
+        assert served[-1]
+        assert sol.capacity_bits == pytest.approx(
+            mpmath_capacity(spec, sol.water_level, sol.band_crossings),
+            abs=2e-14)
+    assert len(served) == 5
+
+
+@pytest.mark.parametrize("modulus", [1.01, 1.002])
+@pytest.mark.parametrize("share", [0.05, 0.4])
+def test_zeros_near_the_circle_decline_the_cepstrum(monkeypatch, modulus,
+                                                    share):
+    """A conjugate pair of zeros of B at modulus 1.01 or 1.002, inside
+    every rung of the ladder: the cepstrum's certificate declines, and the
+    capacity either meets scipy's quad or raises, never a wrong number."""
+    z = modulus * np.exp(1.3j)
+    zeros = [z, np.conj(z), 1.7, -2.5]
+    taps = np.real(np.poly(1.0 / np.array(zeros)))
+    spec = PsdSpec.ma(taps)
+    oracle = Oracle(spec)
+    power = share * (float(oracle.vals.max()) - float(taps @ taps))
+    served = recorded_log_series(monkeypatch)
+    try:
+        sol = nonfeedback_capacity(spec, power)
+    except ConvergenceError:
+        assert not any(served)
+        return
+    assert not any(served)
+    assert sol.band_crossings
+    assert sol.water_level == pytest.approx(oracle.level(power), rel=1e-12)
+    assert sol.capacity_bits == pytest.approx(
+        oracle.capacity(sol.water_level), abs=1e-10)
+
+
+def test_sampled_check_never_passes_a_missed_crossing():
+    """On random MA(2..40) spectra, at random levels and just above each
+    local minimum of S, where a band narrower than the sample spacing
+    hides between two samples: wherever the samples certify the tracked
+    crossings, the colleague matrix's roots match them one to one, within
+    its check window, and the samples certify most random levels."""
+    rng = np.random.default_rng(2203)
+    theta = np.linspace(0.0, PI, 20001)
+    certified_random = tried_random = hidden = 0
+    for _ in range(100):
+        taps = rng.standard_normal(int(rng.integers(3, 41)))
+        spec = PsdSpec.ma(taps)
+        c = arrays._cosine_series(spec)
+        values, rounding, _ = arrays._ma_samples(spec)
+        s = np.abs(values) ** 2
+        total = float(np.abs(taps).sum())
+        error = (rounding * (2.0 * total + rounding)
+                 + (2 * len(c) + 5) * EPS * total ** 2)
+        crossings = arrays._ma_crossings(c)
+        dense = psd_eval(spec, theta)
+        minima = np.flatnonzero((dense[1:-1] < dense[:-2])
+                                & (dense[1:-1] < dense[2:])) + 1
+        span = float(dense.max() - dense.min())
+        levels = [(float(nu), True)
+                  for nu in rng.uniform(dense.min(), dense.max(), 4)]
+        levels += [(float(dense[j]) + share * span, False)
+                   for j in minima for share in (1e-8, 1e-6, 1e-4)]
+        for nu, drawn in levels:
+            terms, certified = arrays._tracked_terms(c, s, error)
+            try:
+                edges = terms(nu)[2]
+            except arrays._LostCrossing:
+                continue
+            check = np.sort(crossings(nu))
+            agree = (len(check) == len(edges) - 2
+                     and np.all(np.abs(np.cos(check) - np.cos(edges[1:-1]))
+                                <= arrays._CHECK_WINDOW))
+            hidden += not agree
+            if certified(nu):
+                assert agree
+                certified_random += drawn
+            tried_random += drawn
+    assert hidden >= 500
+    assert certified_random >= 0.5 * tried_random
+
+
+def test_near_tangent_level_falls_back_to_the_colleague_check(monkeypatch):
+    """The shallower of two dips of S (zeros of B at 1.6 e^{+-2.2i}) sits
+    1e-10 of its depth above the level, which fills only the deeper one
+    (zeros at 1.25 e^{+-0.8i}): the samples by that dip lie within the
+    chord's reach of the level, so the sampled check declines, and one
+    colleague eigensolve checks the crossings instead.  The level and the
+    capacity meet scipy's brentq and quad."""
+    zeros = [1.25 * np.exp(0.8j), 1.25 * np.exp(-0.8j),
+             1.6 * np.exp(2.2j), 1.6 * np.exp(-2.2j)]
+    taps = np.real(np.poly(1.0 / np.array(zeros)))
+    spec = PsdSpec.ma(taps)
+    oracle = Oracle(spec)
+    dip = minimize_scalar(oracle.s, bounds=(1.8, 2.6), method="bounded",
+                          options={"xatol": 1e-12})
+    nu = dip.fun * (1.0 - 1e-10)
+    power = sum(quad(lambda t: nu - oracle.s(t), a, b, epsabs=0.0,
+                     epsrel=1e-13)[0] for a, b in oracle.bands(nu)) / PI
+    arrays._ma_samples.cache_clear()
+    eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
+    sol = nonfeedback_capacity(spec, power)
+    assert len(eigvals) == 1
+    assert len(sol.band_crossings) == 2
+    assert all(theta < 1.8 for theta in sol.band_crossings)
+    assert sol.water_level == pytest.approx(oracle.level(power), rel=1e-12)
+    assert sol.capacity_bits == pytest.approx(
+        oracle.capacity(sol.water_level), abs=1e-10)
+
+
+def test_minimum_phase_partial_band_takes_no_eigensolve(monkeypatch):
+    """The MA(3) partial band of the table below, minimum phase: the
+    samples certify its level and the cepstrum its capacity, so the solve
+    makes no np.linalg.eigvals call at all."""
+    spec = PsdSpec.ma((1.0, 0.4, -0.3, 0.2))
+    arrays._ma_samples.cache_clear()
+    arrays._ma_roots.cache_clear()
+    arrays._cosine_series.cache_clear()
+    eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
+    sol = nonfeedback_capacity(spec, 0.3)
+    assert len(sol.band_crossings) == 3
+    assert eigvals == []
 
 
 ROWS = {
