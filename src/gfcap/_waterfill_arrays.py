@@ -3,12 +3,13 @@
 waterfill solves white noise and MA(1) in scalar closed forms and imports
 this module on first use, for everything else: the rows _MA and _SAMPLES
 of its table of forms, which waterfill._form picks.  They hold the FFT
-samples of B and their winding certificate, the sampled start, the
-tracked crossings with the samples' check of them and the colleague
-matrix's where that declines, the Newton loop, the cepstrum of the
-samples with its certificate, the roots of B with Jensen's formula and
-the dilogarithm where the cepstrum declines, and the power checks.  The
-method is set out in waterfill's docstring.
+samples of B and their winding certificate, the sampled start, one engine
+for the crossings of S = nu and the areas between them, fed brackets from
+the samples or, where the samples' check declines, from the colleague
+matrix's roots, the Newton loop, the cepstrum of the samples with its
+certificate, the roots of B with Jensen's formula and the dilogarithm
+where the cepstrum declines, and the power checks.  The method is set out
+in waterfill's docstring.
 """
 
 from __future__ import annotations
@@ -30,22 +31,19 @@ _ROOT_WINDOW = 1e-6
 # this size that exceeds 4q, or at four times that where the first does not
 # certify the winding number
 _FFT_SIZE = 256
-# Cap on the Newton steps of one tracked crossing; a bisection of the
-# sample spacing down to 4 eps theta takes at most about 60
+# Cap on the Newton steps of one crossing.  Bisection alone narrows a bracket
+# of width w to 4 eps of a crossing at theta in about 50 + log2(w / theta)
+# steps: a tracked bracket is one sample spacing wide, a fallback bracket
+# spans neighbouring colleague roots, up to pi; Newton converges far sooner
 _CROSSING_MAX_ITER = 60
-# Tracked crossings pass the colleague matrix's check where their cosines
-# agree with its roots to this: compared in cos(theta), the check allows for
-# arccos, which loses digits next to 0 and pi
+# Tracked crossings pass the colleague check where their cosines agree to
+# this with the crossings solved from the colleague roots: both are Newton
+# solves in theta, so the window need hold only two solves' rounding
 _CHECK_WINDOW = 1e-8
 # Radii of the circles |z| = rho on which the cepstrum's certificate bounds
 # ln |B|, and the most samples it takes before it declines
 _LADDER = (2.0, 1.5, 1.25, 1.12, 1.06)
 _CEPSTRUM_MAX_SIZE = 4096
-
-
-class _LostCrossing(Exception):
-    """A tracked crossing did not converge; the level solve falls back to
-    the colleague matrix's crossings."""
 
 
 @lru_cache(maxsize=256)
@@ -127,7 +125,7 @@ class _Series:
         of S - nu leave bisects it instead.  The solve stops once |S - nu|
         is within the rounding of the sum, 2 (q + 1) eps (sum |c_k| + nu),
         or a step within 4 eps theta, or the bracket within 4 eps of its
-        top, and raises _LostCrossing after _CROSSING_MAX_ITER steps."""
+        top, and raises ConvergenceError after _CROSSING_MAX_ITER steps."""
         gap0 = self.c0 - nu
         floor = self.rounding * (self.size + nu)
         for _ in range(_CROSSING_MAX_ITER):
@@ -149,7 +147,9 @@ class _Series:
             theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
             if hi - lo <= 4.0 * _EPS * hi:
                 return theta, slope
-        raise _LostCrossing(f"crossing of S = {nu!r} near {theta!r}")
+        raise ConvergenceError(
+            f"crossing of S = {nu!r} near {theta!r} did not converge in "
+            f"{_CROSSING_MAX_ITER} iterations")
 
     def area(self, nu, a, b):
         """The area of nu - S on [a, b], as _ma_areas forms it."""
@@ -160,36 +160,35 @@ class _Series:
         return 2.0 * (nu - self.c0) * half - acc
 
 
-def _polish(c, nu, edges, filled):
-    """The edges where the filled flag flips, each polished by
-    _Series.crossing from its arccos value inside the bracket of its
-    neighbouring edges, the side of the band read from the flags; an edge
-    whose Newton solve is lost keeps its arccos value.  Edges where the
-    flag does not flip bound no band and are dropped."""
-    series = _Series(c)
-    polished = []
-    for i in np.flatnonzero(filled[1:] != filled[:-1]).tolist():
-        theta = float(edges[i + 1])
-        try:
-            theta = series.crossing(nu, theta, float(edges[i]),
-                                    float(edges[i + 2]), bool(filled[i]))[0]
-        except _LostCrossing:
-            pass
-        polished.append(theta)
-    return np.array(polished)
+def _band_terms(series, nu, brackets, first):
+    """(F(nu), F'(nu), edges, filled, found) at level nu, the one place an
+    MA(q >= 2) level evaluation solves its crossings and integrates its
+    bands.  Each bracket (lo, hi, start, rising), in order along [0, pi],
+    holds one crossing of S = nu, which series.crossing solves from start;
+    found lists its (theta, S'(theta)).  The crossings and 0 and pi are the
+    edges, the flags alternate from first, the flag of the piece at 0, and
+    each filled piece adds its closed-form area."""
+    found = [series.crossing(nu, start, lo, hi, rising)
+             for lo, hi, start, rising in brackets]
+    edges = [0.0, *(theta for theta, _ in found), math.pi]
+    filled = [first != (j % 2 == 1) for j in range(len(edges) - 1)]
+    area = width = 0.0
+    for a, b, inside in zip(edges, edges[1:], filled):
+        if inside:
+            area += series.area(nu, a, b)
+            width += b - a
+    return area / math.pi, width / math.pi, edges, filled, found
 
 
 def _tracked_terms(c, s, rounding):
     """(terms, certified).  terms(nu) -> (F(nu), F'(nu), edges, filled), as
-    lists, from crossings tracked on the samples s of S at
+    lists, from _band_terms on brackets tracked on the samples s of S at
     theta_n = n h, h = pi / (len(s) - 1), over [0, pi], all in plain Python
     past one sign test.  Each sign change of s - nu brackets a crossing,
-    which _Series.crossing solves from the crossing in the same bracket at
-    the previous level, moved by its first-order shift
-    (nu - nu_prev) / S', or else from the secant of the bracket's two
-    samples.  The flags alternate from that of the first sample, and each
-    filled piece adds its closed-form area.  A band between two samples is
-    missed there.
+    started from the crossing in the same bracket at the previous level,
+    moved by its first-order shift (nu - nu_prev) / S', or else from the
+    secant of the bracket's two samples.  The flags alternate from that of
+    the first sample.  A band between two samples is missed there.
 
     certified(nu), at the level of the last terms call, is True where the
     samples alone prove the tracked crossings are all of them, each s_n
@@ -241,8 +240,9 @@ def _tracked_terms(c, s, rounding):
     def terms(nu):
         nonlocal last
         below = s < nu
-        found = {}
-        for i in np.flatnonzero(below[1:] != below[:-1]).tolist():
+        cells = np.flatnonzero(below[1:] != below[:-1]).tolist()
+        brackets = []
+        for i in cells:
             lo, hi = i * spacing, (i + 1) * spacing
             theta = math.nan
             if i in last:
@@ -251,20 +251,40 @@ def _tracked_terms(c, s, rounding):
             if not lo < theta < hi:
                 a, b = values[i] - nu, values[i + 1] - nu
                 theta = lo + spacing * a / (a - b)
-            theta, slope = series.crossing(nu, theta, lo, hi, bool(below[i]))
-            found[i] = theta, slope, nu
-        last = found
-        edges = [0.0, *(theta for theta, _, _ in found.values()), math.pi]
-        first = bool(below[0])
-        filled = [first != (j % 2 == 1) for j in range(len(edges) - 1)]
-        area = width = 0.0
-        for a, b, inside in zip(edges, edges[1:], filled):
-            if inside:
-                area += series.area(nu, a, b)
-                width += b - a
-        return area / math.pi, width / math.pi, edges, filled
+            brackets.append((lo, hi, theta, bool(below[i])))
+        *result, found = _band_terms(series, nu, brackets, bool(below[0]))
+        last = {i: (theta, slope, nu)
+                for i, (theta, slope) in zip(cells, found)}
+        return result
 
     return terms, certified
+
+
+def _colleague_terms(c):
+    """terms(nu) -> (F(nu), F'(nu), edges, filled), as lists, from
+    _band_terms on brackets from the real roots of the colleague matrix:
+    _ma_crossings of c without its trailing terms up to eps sum |c_k|.  Such
+    a term is lost in S's rounding, but as the leading coefficient its
+    reciprocal scales the colleague matrix and loses the crossings (from a
+    tap ratio of about 1e-26).  The roots, 0 and pi cut [0, pi] into pieces,
+    each flagged filled by the sign of nu - S at its midpoint, so a tangent
+    or spurious root cannot flip a band.  Each root where the flag flips is
+    a crossing, started from its arccos value inside its neighbouring
+    roots; the other roots are dropped."""
+    series = _Series(c)
+    kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
+    crossings = _ma_crossings(c[:kept[-1] + 1])
+    k = np.arange(1, len(c))
+
+    def terms(nu):
+        edges = sorted({0.0, math.pi, *crossings(nu).tolist()})
+        filled = (c[0] + _cos_mid(np.array(edges), k) @ c[1:] < nu).tolist()
+        brackets = [(edges[j], edges[j + 2], edges[j + 1], filled[j])
+                    for j in range(len(filled) - 1)
+                    if filled[j] != filled[j + 1]]
+        return _band_terms(series, nu, brackets, filled[0])[:4]
+
+    return terms
 
 
 def _sampled_level(s, power):
@@ -300,50 +320,18 @@ def _ma_areas(c, nu, half, waves):
     return 2.0 * (nu - c[0]) * half - waves @ (2.0 * c[1:] / k)
 
 
-def _sorted_unique(x):
-    """np.unique of a 1-D float array, without its call overhead."""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
-
-
-def _ma_pieces(c):
-    """(crossings, split, pieces) for an MA spectrum with cosine series c.
-    crossings is _ma_crossings of c without its trailing terms up to
-    eps sum |c_k|: such a term is lost in S's rounding, but as the leading
-    coefficient its reciprocal scales the colleague matrix and loses the
-    crossings (from a tap ratio of about 1e-26).  split(nu, theta) sorts 0,
-    pi and the crossings theta into the edges of pieces and flags each
-    piece filled by the sign of nu - S at its midpoint, so a tangent or
-    spurious root cannot flip a band; pieces(nu) -> (edges, filled, areas)
-    adds the area of nu - S on each piece between crossings(nu), in closed
-    form."""
-    kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
-    crossings = _ma_crossings(c[:kept[-1] + 1])
-    k = np.arange(1, len(c))
-
-    def split(nu, theta):
-        edges = _sorted_unique(np.concatenate(([0.0, math.pi], theta)))
-        cos_mid = _cos_mid(edges, k)
-        return edges, c[0] + cos_mid @ c[1:] < nu, cos_mid
-
-    def pieces(nu):
-        edges, filled, cos_mid = split(nu, crossings(nu))
-        return edges, filled, _ma_areas(c, nu, *_waves(edges, k, cos_mid))
-
-    return crossings, split, pieces
-
-
-def _samples_pieces(values):
-    """pieces(nu) -> (edges, filled, areas) for a samples spectrum: the
-    nodes and the crossings between them, the sign of nu - S on each piece
-    and its area.  The nodes stay edges, since the filled log integral
-    reads S as linear between consecutive edges."""
+def _samples_terms(values):
+    """terms(nu) -> (F(nu), F'(nu), edges, filled) for a samples spectrum:
+    the nodes and the linear crossings between them are the edges, the sign
+    of nu - S on each piece its flag, and F and F' the filled areas and the
+    filled measure, each over pi.  The nodes stay edges, since the filled
+    log integral reads S as linear between consecutive edges."""
     values = np.asarray(values)
     nodes = np.linspace(0.0, math.pi, len(values))
     a, b = values[:-1], values[1:]
     lo, hi, step = np.minimum(a, b), np.maximum(a, b), np.diff(nodes)
 
-    def pieces(nu):
+    def terms(nu):
         straddle = (lo < nu) & (nu < hi)
         frac = (nu - a[straddle]) / (b[straddle] - a[straddle])
         cross = nodes[:-1][straddle] + frac * step[straddle]
@@ -352,9 +340,12 @@ def _samples_pieces(values):
         # S is linear on each piece: its midpoint value is the mean of the
         # ends, and the trapezoid rule is exact
         gap = nu - 0.5 * (s[:-1] + s[1:])
-        return edges, gap > 0.0, np.diff(edges) * gap
+        filled = gap > 0.0
+        widths = np.diff(edges)
+        return (float((widths * gap)[filled].sum()) / math.pi,
+                float(widths[filled].sum()) / math.pi, edges, filled)
 
-    return pieces
+    return terms
 
 
 def _ma_mean_and_bound(spec: PsdSpec):
@@ -376,18 +367,6 @@ def _samples_vanish(spec: PsdSpec):
     """Two adjacent zero samples: S is zero on the cell between them."""
     v = spec.values
     return any(a == 0.0 and b == 0.0 for a, b in zip(v, v[1:]))
-
-
-def _terms(pieces):
-    """terms(nu) -> (F(nu), F'(nu), edges, filled) from pieces(nu): the
-    filled areas and the filled measure, each over pi."""
-    def terms(nu):
-        edges, filled, areas = pieces(nu)
-        return (float(areas[filled].sum()) / math.pi,
-                float((edges[1:] - edges[:-1])[filled].sum()) / math.pi,
-                edges, filled)
-
-    return terms
 
 
 def _newton(terms, nu, nu0, power, bound):
@@ -427,15 +406,16 @@ def _ma_level(spec: PsdSpec, power, nu0, bound):
     the discrete water level of the FFT samples of S over the circle
     (capped at nu0) and runs on _tracked_terms.  At the converged level the
     samples certify the tracked crossings where they can, with no
-    eigensolve; where they cannot, one colleague eigensolve checks them: its
-    real roots in [-1, 1] must match them one to one, within _CHECK_WINDOW
-    in cos(theta), so the flips agree in number and place and no band was
-    missed.  Then F from the tracked edges is exact, and the level must
-    pass the stop test on both sides, |F(nu) - P| <= 4 eps (nu + bound) F'.
-    A lost crossing reruns Newton from the sampled start, and any other
-    miss from the tracked level (at or above the root where a band was
-    missed, since F then falls short), on the colleague matrix's crossings
-    at every step; its returned flips are polished by Newton in theta.
+    eigensolve; where they cannot, the first evaluation of _colleague_terms
+    checks them: its crossings must match them one to one, within
+    _CHECK_WINDOW in cos(theta), so the flips agree in number and place and
+    no band was missed.  Then F from the tracked edges is exact, and the
+    level must pass the stop test on both sides,
+    |F(nu) - P| <= 4 eps (nu + bound) F'.  A lost crossing reruns Newton
+    from the sampled start, and any other miss from the tracked level (at
+    or above the root where a band was missed, since F then falls short),
+    on the same colleague terms, one eigensolve per level.  Both terms solve
+    their crossings and sum their areas in _band_terms.
 
     A sample s_n = sigma2 |B_n|^2 is within sigma2 r (2 sum |b_k| + r) of
     S(theta_n), r the FFT's rounding, plus a few eps of bound for its own
@@ -454,31 +434,29 @@ def _ma_level(spec: PsdSpec, power, nu0, bound):
     try:
         level, filled_power, slope, edges, filled = _newton(
             terms, nu, nu0, power, bound)
-    except (_LostCrossing, ConvergenceError):
+    except ConvergenceError:
         pass
     else:
         if abs(filled_power - power) <= 4.0 * _EPS * (level + bound) * slope:
             if certified(level):
                 return level, np.array(edges), np.array(filled)
-            colleague = _ma_pieces(c)
-            check = np.sort(colleague[0](level))
-            if (len(check) == len(edges) - 2
-                    and np.all(np.abs(np.cos(check) - np.cos(edges[1:-1]))
+            colleague = _colleague_terms(c)
+            check = colleague(level)[2]
+            if (len(check) == len(edges)
+                    and np.all(np.abs(np.cos(check) - np.cos(edges))
                                <= _CHECK_WINDOW)):
                 return level, np.array(edges), np.array(filled)
         nu = level
-    _, split, pieces = colleague or _ma_pieces(c)
-    nu, _, _, edges, filled = _newton(_terms(pieces), nu, nu0, power, bound)
-    if len(edges) > 2:
-        edges, filled, _ = split(nu, _polish(c, nu, edges, filled))
-    return nu, edges, filled
+    nu, _, _, edges, filled = _newton(colleague or _colleague_terms(c), nu,
+                                      nu0, power, bound)
+    return nu, np.array(edges), np.array(filled)
 
 
 def _samples_level(spec: PsdSpec, power, nu0, bound):
     """(nu, edges, filled) on a partial samples band: Newton on the convex
     F from nu0, over the nodes and the linear crossings between them."""
-    nu, _, _, edges, filled = _newton(_terms(_samples_pieces(spec.values)),
-                                      nu0, nu0, power, bound)
+    nu, _, _, edges, filled = _newton(_samples_terms(spec.values), nu0, nu0,
+                                      power, bound)
     return nu, edges, filled
 
 

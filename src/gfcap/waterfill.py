@@ -28,11 +28,12 @@ none; any other interval holds none where both its samples lie farther
 than (h^2 / 8) K, the chord's greatest gap from S, from the level, h the
 sample spacing.  Each sample counts its rounding.  Where an interval
 passes neither test, one eigensolve of the colleague matrix checks the
-level: its roots must match the tracked crossings one to one, so no band
-between two samples was missed.  The level must pass the stop test on
-both sides.  Any miss reruns Newton from there on the colleague matrix's
-crossings at every level, as before, and polishes the returned ones by
-Newton in theta.
+level: the crossings solved from its roots must match the tracked ones one
+to one, so no band between two samples was missed.  The level must pass
+the stop test on both sides.  Any miss reruns Newton from there with one
+colleague eigensolve per level: its roots cut [0, pi] into pieces flagged
+by the sign of nu - S at their midpoints, and each root where the flag
+flips starts the same Newton in theta, bracketed by its neighbours.
 
 The capacity mean(0.5 log2(max(S, nu) / S)) is
 (|F| ln nu - int_F ln S) / (2 pi ln 2) over the filled set F of [0, pi],

@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import chebyshev
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import spence
 
@@ -621,7 +622,7 @@ def test_partial_band_level_budget(monkeypatch, power):
 
     def lost(c, s, rounding):
         def terms(nu):
-            raise arrays._LostCrossing("forced")
+            raise ConvergenceError("forced")
         return terms, None
 
     with monkeypatch.context() as patch:
@@ -936,9 +937,9 @@ def random_ma_spectra(seed, count):
 
 
 def test_theta_polish_matches_chebval_polish():
-    """The fallback's polish, Newton in theta on the edges where the filled
-    flag flips, meets the roots polished in x = cos(theta) with chebval to
-    1e-13."""
+    """The colleague terms' crossings, Newton in theta from the arccos value
+    of each root where the filled flag flips, meet the roots polished in
+    x = cos(theta) with chebval to 1e-13."""
     rng = np.random.default_rng(61)
     count = 0
     for spec in random_ma_spectra(60, 600):
@@ -946,10 +947,7 @@ def test_theta_polish_matches_chebval_polish():
         s = psd_eval(spec, np.linspace(0.0, PI, 513))
         nu = float(rng.uniform(s.min(), s.max()))
         ref = ma_crossings_chebval(c, nu)
-        crossings, split, _ = arrays._ma_pieces(c)
-        edges, filled, _ = split(nu, crossings(nu))
-        got = arrays._polish(c, nu, edges, filled)
-        assert len(got) == np.count_nonzero(filled[1:] != filled[:-1])
+        got = arrays._colleague_terms(c)(nu)[2][1:-1]
         for theta in got:
             assert np.min(np.abs(ref - theta)) <= 1e-13
         count += len(got)
@@ -1537,7 +1535,7 @@ def test_sampled_check_never_passes_a_missed_crossing():
             terms, certified = arrays._tracked_terms(c, s, error)
             try:
                 edges = terms(nu)[2]
-            except arrays._LostCrossing:
+            except ConvergenceError:
                 continue
             check = np.sort(crossings(nu))
             agree = (len(check) == len(edges) - 2
@@ -1552,13 +1550,11 @@ def test_sampled_check_never_passes_a_missed_crossing():
     assert certified_random >= 0.5 * tried_random
 
 
-def test_near_tangent_level_falls_back_to_the_colleague_check(monkeypatch):
-    """The shallower of two dips of S (zeros of B at 1.6 e^{+-2.2i}) sits
-    1e-10 of its depth above the level, which fills only the deeper one
-    (zeros at 1.25 e^{+-0.8i}): the samples by that dip lie within the
-    chord's reach of the level, so the sampled check declines, and one
-    colleague eigensolve checks the crossings instead.  The level and the
-    capacity meet scipy's brentq and quad."""
+def two_dips(offset):
+    """(spec, oracle, power) for S with a deeper dip (zeros of B at
+    1.25 e^{+-0.8i}) and a shallower one (zeros at 1.6 e^{+-2.2i}), at the
+    power, from scipy's brentq and quad, whose level is 1 + offset times
+    the shallower dip's minimum."""
     zeros = [1.25 * np.exp(0.8j), 1.25 * np.exp(-0.8j),
              1.6 * np.exp(2.2j), 1.6 * np.exp(-2.2j)]
     taps = np.real(np.poly(1.0 / np.array(zeros)))
@@ -1566,16 +1562,118 @@ def test_near_tangent_level_falls_back_to_the_colleague_check(monkeypatch):
     oracle = Oracle(spec)
     dip = minimize_scalar(oracle.s, bounds=(1.8, 2.6), method="bounded",
                           options={"xatol": 1e-12})
-    nu = dip.fun * (1.0 - 1e-10)
+    nu = dip.fun * (1.0 + offset)
     power = sum(quad(lambda t: nu - oracle.s(t), a, b, epsabs=0.0,
                      epsrel=1e-13)[0] for a, b in oracle.bands(nu)) / PI
     arrays._ma_samples.cache_clear()
+    return spec, oracle, power
+
+
+def test_near_tangent_level_falls_back_to_the_colleague_check(monkeypatch):
+    """The shallower of two dips of S sits 1e-10 of its depth above the
+    level, which fills only the deeper one: the samples by that dip lie
+    within the chord's reach of the level, so the sampled check declines,
+    and one colleague eigensolve checks the crossings instead.  The level
+    and the capacity meet scipy's brentq and quad."""
+    spec, oracle, power = two_dips(-1e-10)
     eigvals = counted_calls(monkeypatch, np.linalg, "eigvals")
     sol = nonfeedback_capacity(spec, power)
     assert len(eigvals) == 1
     assert len(sol.band_crossings) == 2
     assert all(theta < 1.8 for theta in sol.band_crossings)
     assert sol.water_level == pytest.approx(oracle.level(power), rel=1e-12)
+    assert sol.capacity_bits == pytest.approx(
+        oracle.capacity(sol.water_level), abs=1e-10)
+
+
+def gaussian_partial_bands(seed, count):
+    """MA(2..20) spectra with Gaussian taps, each with a power that leaves
+    the band partial: a share of max S - mean S, max S from 4096 FFT
+    samples."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        taps = rng.standard_normal(int(rng.integers(3, 22)))
+        spec = PsdSpec.ma(taps, float(10 ** rng.uniform(-1, 1)))
+        s = spec.sigma2 * np.abs(np.fft.rfft(taps, 4096)) ** 2
+        mean = spec.sigma2 * float(taps @ taps)
+        yield spec, float(rng.uniform(0.01, 0.9) * (s.max() - mean))
+
+
+def quad_capacity(spec, nu):
+    """C at level nu from scipy's quad over the Oracle's bands, with break
+    points at its polished minima only; where quad warns that roundoff kept
+    it from its tolerance, from the Oracle's own capacity, whose break
+    points are graded toward the minima, its warnings ignored."""
+    oracle = Oracle(spec)
+    total = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            for a, b in oracle.bands(nu):
+                total += quad(lambda t: math.log(nu / oracle.s(t)), a, b,
+                              points=[m for m in oracle.minima if a < m < b]
+                              or None,
+                              epsabs=1e-15, epsrel=1e-13, limit=1000)[0]
+        except IntegrationWarning:
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return oracle.capacity(nu)
+    return 0.5 * total / (PI * math.log(2.0))
+
+
+def test_colleague_newton_meets_the_certified_tracked_solve(monkeypatch):
+    """The fallback, Newton on the colleague terms from the sampled start,
+    on random MA(2..20) partial bands with Gaussian taps and with zeros of
+    B at 1.01 < |z| < 1.5, wherever the samples certify the tracked solve:
+    the two levels agree within the stop test, 8 eps (nu + bound), the
+    crossings to 1e-12, and the fallback's capacity meets scipy's quad."""
+    built = counted_calls(monkeypatch, arrays, "_colleague_terms")
+    count = 0
+    for spec, power in itertools.chain(
+            gaussian_partial_bands(2401, 110),
+            minimum_phase_partial_bands(2402, 110, 1.01, 1.5)):
+        built.clear()
+        try:
+            sol = nonfeedback_capacity(spec, power)
+        except ConvergenceError:
+            continue
+        if built:
+            continue
+        mean, bound = arrays._ma_mean_and_bound(spec)
+        nu0 = mean + power
+        s = spec.sigma2 * np.abs(arrays._ma_samples(spec)[0]) ** 2
+        start = min(arrays._sampled_level(np.concatenate((s, s[1:-1])),
+                                          power), nu0)
+        terms = arrays._colleague_terms(arrays._cosine_series(spec))
+        nu, _, _, edges, filled = arrays._newton(terms, start, nu0, power,
+                                                 bound)
+        assert nu == pytest.approx(sol.water_level, rel=0,
+                                   abs=8 * EPS * (nu + bound))
+        assert edges[1:-1] == pytest.approx(sol.band_crossings, rel=0,
+                                            abs=1e-12)
+        capacity = arrays._ma_capacity(spec, nu, edges, filled, 1e-10)[0]
+        assert capacity == pytest.approx(quad_capacity(spec, nu), abs=1e-10)
+        count += 1
+    assert count >= 200
+
+
+def test_colleague_check_catches_a_band_between_samples(monkeypatch):
+    """The level lies 1e-6 of the shallower dip's minimum above it, between
+    two samples that both lie above the level: the tracked crossings miss
+    that narrow band, and Newton on them passes the stop test a little
+    above the root.  The colleague check finds the band's two crossings,
+    and the fallback Newton from there returns all four, meeting scipy's
+    brentq and quad.  quad warns that roundoff keeps the narrow band's
+    area, about 3e-10, from its relative tolerance of 1e-13; what roundoff
+    leaves moves the oracle's level far less than 1e-12."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        spec, oracle, power = two_dips(1e-6)
+        level = oracle.level(power)
+    built = counted_calls(monkeypatch, arrays, "_colleague_terms")
+    sol = nonfeedback_capacity(spec, power)
+    assert len(built) == 1
+    assert len(sol.band_crossings) == 4
+    assert sol.water_level == pytest.approx(level, rel=1e-12)
     assert sol.capacity_bits == pytest.approx(
         oracle.capacity(sol.water_level), abs=1e-10)
 
