@@ -4,9 +4,10 @@ waterfill solves white noise and MA(1) in scalar closed forms and imports
 this module on first use, for everything else: the rows _MA and _SAMPLES
 of its table of forms, which waterfill._form picks.  They hold the FFT
 samples of B and their winding certificate, the sampled start, one engine
-for the crossings of S = nu and the areas between them, fed brackets from
-the samples or, where the samples' check declines, from the colleague
-matrix's roots, the Newton loop, the cepstrum of the samples with its
+for the crossings of S = nu, each solved by waterfill's bracketed Newton,
+and the areas between them, fed brackets from the samples or, where the
+samples' check declines, from the roots of the cosine series by numpy's
+chebroots, the Newton loop, the cepstrum of the samples with its
 certificate, the roots of B with Jensen's formula and the dilogarithm
 where the cepstrum declines, and the power checks.  The method is set out
 in waterfill's docstring.
@@ -20,7 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .spectrum import ConvergenceError, PsdSpec, psd_eval
-from .waterfill import _EPS, _LI2_BERNOULLI, _LN2, _Form, _ma_vanishes
+from .waterfill import (_EPS, _LI2_BERNOULLI, _LN2, _bracketed_newton, _Form,
+                        _ma_vanishes)
 
 _NEWTON_MAX_ITER = 100
 # Chebyshev roots farther than this from the real interval [-1, 1] cannot be
@@ -31,11 +33,6 @@ _ROOT_WINDOW = 1e-6
 # this size that exceeds 4q, or at four times that where the first does not
 # certify the winding number
 _FFT_SIZE = 256
-# Cap on the Newton steps of one crossing.  Bisection alone narrows a bracket
-# of width w to 4 eps of a crossing at theta in about 50 + log2(w / theta)
-# steps: a tracked bracket is one sample spacing wide, a fallback bracket
-# spans neighbouring colleague roots, up to pi; Newton converges far sooner
-_CROSSING_MAX_ITER = 60
 # Tracked crossings pass the colleague check where their cosines agree to
 # this with the crossings solved from the colleague roots: both are Newton
 # solves in theta, so the window need hold only two solves' rounding
@@ -59,46 +56,19 @@ def _cosine_series(spec: PsdSpec):
     return c
 
 
-def _ma_crossings(c):
-    """crossings(nu) -> the angles in [0, pi] where
-    S(theta) = sum_k c[k] cos(k theta) = nu: the real roots in [-1, 1] of
-    the Chebyshev series c - nu, mapped to theta by arccos, which loses
-    digits next to 0 and pi.
-
-    The roots are the eigenvalues of the series' colleague matrix, rotated
-    as numpy's chebroots rotates it.  It is built once: only its entry from
-    the constant term depends on nu, and each level sets that entry by the
-    operations of numpy's chebcompanion, so the roots are chebroots' own,
-    bit for bit.  A series of degree 1 has the one root (nu - c0) / c1,
-    and one of degree 0 none."""
-    n = len(c) - 1
-    if n < 2:
-        def roots(nu):
-            return np.array([(nu - c[0]) / c[1]] if n else [])
-    else:
-        mat = np.zeros((n, n))
-        flat = mat.reshape(-1)
-        flat[1::n + 1] = 0.5
-        flat[1] = math.sqrt(0.5)
-        flat[n::n + 1] = flat[1::n + 1]
-        scale = np.array([1.0] + [math.sqrt(0.5)] * (n - 1))
-        scale = scale / scale[-1]
-        corner = mat[0, -1]
-        mat[:, -1] -= (c[:-1] / c[-1]) * scale * 0.5
-        rotated = mat[::-1, ::-1]
-
-        def roots(nu):
-            mat[0, -1] = corner - ((c[0] - nu) / c[-1]) * scale[0] * 0.5
-            return np.linalg.eigvals(rotated)
-
-    def crossings(nu):
-        x = roots(nu)
-        x = x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
-                   & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)]
-        # np.clip to [-1, 1], without its call overhead
-        return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
-
-    return crossings
+def _ma_crossings(c, nu):
+    """The angles in [0, pi] where S(theta) = sum_k c[k] cos(k theta) = nu:
+    the real roots in [-1, 1] of the Chebyshev series c - nu, by numpy's
+    chebroots (the eigenvalues of its colleague matrix; a series of degree 1
+    has the one root (nu - c0) / c1, and one of degree 0 none), mapped to
+    theta by arccos, which loses digits next to 0 and pi."""
+    p = c.copy()
+    p[0] -= nu
+    x = np.polynomial.chebyshev.chebroots(p)
+    x = x.real[(np.abs(x.imag) <= _ROOT_WINDOW)
+               & (np.abs(x.real) <= 1.0 + _ROOT_WINDOW)]
+    # np.clip to [-1, 1], without its call overhead
+    return np.arccos(np.minimum(np.maximum(x, -1.0), 1.0))
 
 
 class _Series:
@@ -117,39 +87,26 @@ class _Series:
 
     def crossing(self, nu, theta, lo, hi, rising):
         """(theta, S'(theta)) at the crossing of S = nu in [lo, hi], where
-        S - nu rises through 0 if rising and falls otherwise: Newton in
-        theta itself from theta, where a crossing next to 0 or pi keeps the
-        digits that arccos loses.  cos k theta and sin k theta come from the
-        rotation e^{i(k+1) theta} = e^{ik theta} e^{i theta}, whose rounding
-        grows only linearly in k.  A step that leaves the bracket the signs
-        of S - nu leave bisects it instead.  The solve stops once |S - nu|
-        is within the rounding of the sum, 2 (q + 1) eps (sum |c_k| + nu),
-        or a step within 4 eps theta, or the bracket within 4 eps of its
-        top, and raises ConvergenceError after _CROSSING_MAX_ITER steps."""
+        S - nu rises through 0 if rising and falls otherwise:
+        _bracketed_newton in theta itself from theta, where a crossing next
+        to 0 or pi keeps the digits that arccos loses.  cos k theta and
+        sin k theta come from the rotation e^{i(k+1) theta}
+        = e^{ik theta} e^{i theta}, whose rounding grows only linearly in k.
+        The solve also stops once |S - nu| is within the rounding of the
+        sum, 2 (q + 1) eps (sum |c_k| + nu)."""
         gap0 = self.c0 - nu
-        floor = self.rounding * (self.size + nu)
-        for _ in range(_CROSSING_MAX_ITER):
+
+        def gap(theta):
             w = complex(math.cos(theta), math.sin(theta))
-            z, gap, slope = w, gap0, 0.0
+            z, value, slope = w, gap0, 0.0
             for ck, kck in self.slopes:
-                gap += ck * z.real
+                value += ck * z.real
                 slope -= kck * z.imag
                 z *= w
-            if (gap < 0.0) == rising:
-                lo = theta
-            else:
-                hi = theta
-            # a zero slope gives nan, which fails every test below: bisect
-            step = gap / slope if slope else math.nan
-            if abs(gap) <= floor or abs(step) <= 4.0 * _EPS * theta:
-                return (theta - step if lo <= theta - step <= hi
-                        else theta), slope
-            theta = theta - step if lo < theta - step < hi else 0.5 * (lo + hi)
-            if hi - lo <= 4.0 * _EPS * hi:
-                return theta, slope
-        raise ConvergenceError(
-            f"crossing of S = {nu!r} near {theta!r} did not converge in "
-            f"{_CROSSING_MAX_ITER} iterations")
+            return value, slope
+
+        return _bracketed_newton(gap, theta, lo, hi, rising,
+                                 self.rounding * (self.size + nu))
 
     def area(self, nu, a, b):
         """The area of nu - S on [a, b], as _ma_areas forms it."""
@@ -273,11 +230,11 @@ def _colleague_terms(c):
     roots; the other roots are dropped."""
     series = _Series(c)
     kept = np.flatnonzero(np.abs(c) > _EPS * np.abs(c).sum())
-    crossings = _ma_crossings(c[:kept[-1] + 1])
+    trimmed = c[:kept[-1] + 1]
     k = np.arange(1, len(c))
 
     def terms(nu):
-        edges = sorted({0.0, math.pi, *crossings(nu).tolist()})
+        edges = sorted({0.0, math.pi, *_ma_crossings(trimmed, nu).tolist()})
         filled = (c[0] + _cos_mid(np.array(edges), k) @ c[1:] < nu).tolist()
         brackets = [(edges[j], edges[j + 2], edges[j + 1], filled[j])
                     for j in range(len(filled) - 1)
@@ -414,7 +371,7 @@ def _ma_level(spec: PsdSpec, power, nu0, bound):
     |F(nu) - P| <= 4 eps (nu + bound) F'.  A lost crossing reruns Newton
     from the sampled start, and any other miss from the tracked level (at
     or above the root where a band was missed, since F then falls short),
-    on the same colleague terms, one eigensolve per level.  Both terms solve
+    on _colleague_terms, one eigensolve per level.  Both terms solve
     their crossings and sum their areas in _band_terms.
 
     A sample s_n = sigma2 |B_n|^2 is within sigma2 r (2 sum |b_k| + r) of
@@ -430,7 +387,6 @@ def _ma_level(spec: PsdSpec, power, nu0, bound):
     # the samples of the whole circle: the inner ones of the half twice
     nu = min(_sampled_level(np.concatenate((s, s[1:-1])), power), nu0)
     terms, certified = _tracked_terms(c, s, error)
-    colleague = None
     try:
         level, filled_power, slope, edges, filled = _newton(
             terms, nu, nu0, power, bound)
@@ -440,15 +396,14 @@ def _ma_level(spec: PsdSpec, power, nu0, bound):
         if abs(filled_power - power) <= 4.0 * _EPS * (level + bound) * slope:
             if certified(level):
                 return level, np.array(edges), np.array(filled)
-            colleague = _colleague_terms(c)
-            check = colleague(level)[2]
+            check = _colleague_terms(c)(level)[2]
             if (len(check) == len(edges)
                     and np.all(np.abs(np.cos(check) - np.cos(edges))
                                <= _CHECK_WINDOW)):
                 return level, np.array(edges), np.array(filled)
         nu = level
-    nu, _, _, edges, filled = _newton(colleague or _colleague_terms(c), nu,
-                                      nu0, power, bound)
+    nu, _, _, edges, filled = _newton(_colleague_terms(c), nu, nu0, power,
+                                      bound)
     return nu, np.array(edges), np.array(filled)
 
 

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from .spectrum import PAPER_CHANNEL, ConvergenceError, PsdSpec
-from .waterfill import nonfeedback_capacity
+from .waterfill import _bracketed_newton, nonfeedback_capacity
 
 _EPS = sys.float_info.epsilon
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -61,27 +61,30 @@ def sk_root(power: float) -> SkSolution:
     """Unique root of P*x^2 = (1+x)(1-x)^3 in (0, 1) and the rate -log2 x0.
 
     P*x^2 is strictly increasing and (1+x)(1-x)^3 strictly decreasing on
-    [0, 1], so the bracket [0, h] with h = min(1, P^-1/2) pins exactly one
-    root: f(0) = -1 < 0 <= 1 - (1+h)(1-h)^3 <= f(h).  The root exceeds h/3,
-    so bisection gives an enclosure tight relative to x0 at any P, and a
-    few Newton steps, kept inside it, polish it to full double precision.
-    The residual is held to a few ulps of its scale, the two terms of f
-    and the rounding of x times f'; ConvergenceError is raised if it is
-    not.
+    [0, 1], and x0 = 1/2 at P = 3/4, so the root lies in (0, 1/2] for
+    P >= 3/4 and in (1/2, 1) below.  Each is solved by a bracketed Newton
+    from its own end, in the unknown whose digits it keeps: for P >= 3/4,
+    x itself, the root of ((x - 2)x + P)x^2 + (2x - 1), from
+    min(P^-1/2, 1/2), where 2x - 1 is exact next to x = 1/2; below,
+    y = 1 - x, the root of P(1 - y)^2 - (2 - y)y^3, from
+    min((P/2)^(1/3), 1/2).  The residual is held to a few ulps of its
+    scale, the two terms of f and the rounding of x times f';
+    ConvergenceError is raised if it is not.
     """
     if not 0 < power < math.inf:
         raise ValueError("power must be positive and finite")
-    lo, hi = 0.0, min(1.0, 1.0 / math.sqrt(power))
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if sk_poly(power, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        # near x = 1 at tiny P, f' is tiny and a free step leaves [0, 1]
-        x = min(max(x - sk_poly(power, x) / _sk_poly_deriv(power, x), lo), hi)
+    if power >= 0.75:
+        def f(x):
+            return (((x - 2.0) * x + power) * x * x + (2.0 * x - 1.0),
+                    ((4.0 * x - 6.0) * x + 2.0 * power) * x + 2.0)
+        x = _bracketed_newton(f, min(1.0 / math.sqrt(power), 0.5), 0.0, 0.5,
+                              True)[0]
+    else:
+        def f(y):
+            return (power * (1.0 - y) ** 2 - (2.0 - y) * y ** 3,
+                    -2.0 * power * (1.0 - y) - (6.0 - 4.0 * y) * y * y)
+        x = 1.0 - _bracketed_newton(f, min((0.5 * power) ** (1.0 / 3.0), 0.5),
+                                    0.0, 0.5, False)[0]
     x = min(max(x, 1e-300), 1.0 - 1e-16)
     residual = abs(sk_poly(power, x))
     scale = (power * x * x + (1.0 + x) * (1.0 - x) ** 3

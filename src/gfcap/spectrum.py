@@ -149,7 +149,9 @@ def load_psd(source: str) -> PsdSpec:
     Builtins: "paper" (the MA(1) channel 2(1+cos theta)) and "white:LEVEL".
     Files hold one JSON object, e.g. {"type": "ma", "coeffs": [1.0, 1.0],
     "sigma2": 1.0}, {"type": "samples", "values": [...]}, or
-    {"type": "white", "level": 1.0}.
+    {"type": "white", "level": 1.0}.  coeffs and values must be arrays of
+    numbers, and sigma2 and level numbers; true and false are not numbers.
+    Anything else raises ValueError.
     """
     if source == "paper":
         return PAPER_CHANNEL
@@ -165,15 +167,31 @@ def load_psd(source: str) -> PsdSpec:
     if not isinstance(doc, dict) or "type" not in doc:
         raise ValueError(f"PSD spec {source!r} must be an object with a 'type'")
     kind = doc["type"]
+
+    def number(key, value):
+        # JSON true and false are not numbers here, though bool is an int
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"PSD spec {source!r}: {key!r} must be a number")
+        return float(value)
+
+    def numbers(key):
+        if not isinstance(doc[key], list):
+            raise ValueError(f"PSD spec {source!r}: {key!r} must be an array")
+        return [number(key, v) for v in doc[key]]
+
     try:
         if kind == "ma":
-            return PsdSpec.ma(doc["coeffs"], doc.get("sigma2", 1.0))
+            return PsdSpec.ma(numbers("coeffs"),
+                              number("sigma2", doc.get("sigma2", 1.0)))
         if kind == "samples":
-            return PsdSpec.from_samples(doc["values"])
+            return PsdSpec.from_samples(numbers("values"))
         if kind == "white":
-            return PsdSpec.white(doc["level"])
-    except (KeyError, TypeError) as exc:
+            return PsdSpec.white(number("level", doc["level"]))
+    except KeyError as exc:
         raise ValueError(f"incomplete PSD spec {source!r}: {exc}") from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ValueError(f"PSD spec {source!r}: numbers must be within the "
+                         f"float range") from exc
     raise ValueError(f"unknown PSD type {kind!r} in {source!r}")
 
 

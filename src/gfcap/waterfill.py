@@ -18,18 +18,19 @@ band starts closer: at the discrete water level of S sampled by one FFT of
 the taps at N points, a power of two above 4q, capped at nu0, or, where F
 is below P there, one Newton step from below it, which convexity puts at
 or above the root.  Its Newton iterates take their crossings from the same
-samples: each sign change of S_n - nu brackets one, solved by Newton in
-theta itself in plain Python and tracked from level to level.  At the
-converged level the samples check them with no eigensolve: with
-K = sum k^2 |c_k| >= max |S''|, a tracked crossing whose slope exceeds K
-times the distance to a sample keeps S monotone up to it, so its interval
-between samples holds that one crossing and its neighbours in reach hold
-none; any other interval holds none where both its samples lie farther
-than (h^2 / 8) K, the chord's greatest gap from S, from the level, h the
-sample spacing.  Each sample counts its rounding.  Where an interval
-passes neither test, one eigensolve of the colleague matrix checks the
-level: the crossings solved from its roots must match the tracked ones one
-to one, so no band between two samples was missed.  The level must pass
+samples: each sign change of S_n - nu brackets one, solved by
+_bracketed_newton in theta itself in plain Python and tracked from level
+to level.  At the converged level the samples check them with no
+eigensolve: with K = sum k^2 |c_k| >= max |S''|, a tracked crossing whose
+slope exceeds K times the distance to a sample keeps S monotone up to it,
+so its interval between samples holds that one crossing and its
+neighbours in reach hold none; any other interval holds none where both
+its samples lie farther than (h^2 / 8) K, the chord's greatest gap from
+S, from the level, h the sample spacing.  Each sample counts its
+rounding.  Where an interval passes neither test, one eigensolve of the
+colleague matrix (numpy's chebroots) checks the level: the crossings
+solved from its roots must match the tracked ones one to one, so no band
+between two samples was missed.  The level must pass
 the stop test on both sides.  Any miss reruns Newton from there with one
 colleague eigensolve per level: its roots cut [0, pi] into pieces flagged
 by the sign of nu - S at their midpoints, and each root where the flag
@@ -94,9 +95,10 @@ solved in scalar closed forms, with no eigensolve and no quadrature.  With
 a = 2 sigma2 |b0 b1| and m = sigma2 (|b0| - |b1|)^2, S = m + 2a sin^2(u/2)
 in the distance u from its minimum, at pi where b0 b1 > 0, else at 0.
 P >= a fills the band; below it the filled arc u < phi has
-F = (a / pi)(sin phi - phi cos phi), so phi is one bracketed scalar Newton
-solve, nu = m + 2a sin^2(phi / 2), and the one crossing is at pi - phi or
-phi.  With r = min / max of |b0|, |b1|, S = sigma2 b_max^2 |1 - r e^{iu}|^2
+F = (a / pi)(sin phi - phi cos phi), so phi is one solve of
+_bracketed_newton, in phi itself where P <= a / pi and in pi - phi above,
+nu = m + 2a sin^2(phi / 2), and the one crossing is at pi - phi or phi.
+With r = min / max of |b0|, |b1|, S = sigma2 b_max^2 |1 - r e^{iu}|^2
 gives mean ln S = ln(sigma2 b_max^2) and
 C = (phi ln(nu / (sigma2 b_max^2)) + 2 Im Li2(r e^{i phi})) / (2 pi ln 2),
 by the dilogarithm Li2; at r = 1, Im Li2(e^{i phi}) is Clausen's function.
@@ -112,7 +114,9 @@ power, then the roundoff floors and the power residual.  The white and
 MA(1) rows are here, in plain Python with tuples for the breakpoints and
 flags, and this module does not import numpy.  The MA(q != 1) and
 samples rows are in the array half, _waterfill_arrays, imported on first
-use.
+use.  _bracketed_newton, here, is the package's one scalar root loop: the
+MA(1) band width, every MA(q >= 2) crossing and feedback.sk_root solve
+through it.
 """
 
 from __future__ import annotations
@@ -141,9 +145,10 @@ _GL_WEIGHTS = (
     0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
     0.027152459411754176)
-# Cap on the iterations of the MA(1) band-width solve, which took at most 8
-# over 200,000 drawn widths
-_WIDTH_MAX_ITER = 50
+# Cap on the steps of one bracketed Newton solve.  Bisection alone narrows a
+# bracket of width w to 4 eps of a root at x in about 50 + log2(w / x) steps;
+# Newton converges far sooner
+_ROOT_MAX_ITER = 60
 # Taylor coefficients (-1)^(n+1) 2n / (2n+1)! of (sin x - x cos x) / x^3 in x^2
 _G_SERIES = (0.3333333333333333, -0.03333333333333333, 0.0011904761904761906,
              -2.2045855379188714e-05, 2.505210838544172e-07,
@@ -179,6 +184,31 @@ def _sin_minus_x_cos(x):
     return acc * x2 * x
 
 
+def _bracketed_newton(f, x, lo, hi, rising, floor=0.0):
+    """(x, f'(x)) at the one root of f in [lo, hi], where f rises through 0
+    if rising and falls otherwise, by Newton from x, with
+    f(x) -> (f(x), f'(x)).  A step that leaves the bracket the signs of f
+    leave bisects it instead.  The solve stops once |f| <= floor, or a step
+    is within 4 eps x, or the bracket within 4 eps of its top, and raises
+    ConvergenceError after _ROOT_MAX_ITER steps."""
+    for _ in range(_ROOT_MAX_ITER):
+        gap, slope = f(x)
+        if (gap < 0.0) == rising:
+            lo = x
+        else:
+            hi = x
+        # a zero slope gives nan, which fails every test below: bisect
+        step = gap / slope if slope else math.nan
+        if abs(gap) <= floor or abs(step) <= 4.0 * _EPS * x:
+            return (x - step if lo <= x - step <= hi else x), slope
+        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
+        if hi - lo <= 4.0 * _EPS * hi:
+            return x, slope
+    raise ConvergenceError(
+        f"bracketed Newton solve did not converge in {_ROOT_MAX_ITER} "
+        f"iterations (last point {x!r})")
+
+
 def _ma1_width(t, tau):
     """phi in (0, pi) with g(phi) = sin phi - phi cos phi = t, given
     tau = pi - t apart so that it keeps its digits as phi -> pi.
@@ -187,33 +217,21 @@ def _ma1_width(t, tau):
     ends, so the unknown is x = phi where t <= g(pi / 2) = 1, and otherwise
     x = pi - phi, the root of pi - g(pi - x) = 2 pi sin^2(x/2) - g(x) = tau
     with slope (pi - x) sin x: either way x lies in (0, pi/2], and g's
-    series keeps the digits of a small x.  Newton starts from the leading
-    term of each end, x = (3 t)^(1/3) or (2 tau / pi)^(1/2), and bisects the
-    bracket the signs of the gaps leave whenever a step falls outside it.
-    It stops once a step is within 4 eps x, or the bracket is."""
-    low = t <= 1.0
-    start = (3.0 * t) ** (1.0 / 3.0) if low else math.sqrt(2.0 * tau / math.pi)
-    x = min(start, 0.5 * math.pi)
-    lo, hi = 0.0, 0.5 * math.pi
-    for _ in range(_WIDTH_MAX_ITER):
-        if low:
-            gap, slope = _sin_minus_x_cos(x) - t, x * math.sin(x)
-        else:
-            gap = (2.0 * math.pi * math.sin(0.5 * x) ** 2
-                   - _sin_minus_x_cos(x) - tau)
-            slope = (math.pi - x) * math.sin(x)
-        if gap > 0.0:
-            hi = x
-        else:
-            lo = x
-        step = gap / slope
-        if abs(step) <= 4.0 * _EPS * x or hi - lo <= 4.0 * _EPS * hi:
-            x -= step
-            return x if low else math.pi - x
-        x = x - step if lo < x - step < hi else 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"MA(1) band-width Newton solve did not converge in "
-        f"{_WIDTH_MAX_ITER} iterations (last width {x!r})")
+    series keeps the digits of a small x.  _bracketed_newton solves it from
+    the leading term of each end, x = (3 t)^(1/3) or (2 tau / pi)^(1/2)."""
+    if t <= 1.0:
+        def gap(x):
+            return _sin_minus_x_cos(x) - t, x * math.sin(x)
+        start = (3.0 * t) ** (1.0 / 3.0)
+    else:
+        def gap(x):
+            return (2.0 * math.pi * math.sin(0.5 * x) ** 2
+                    - _sin_minus_x_cos(x) - tau,
+                    (math.pi - x) * math.sin(x))
+        start = math.sqrt(2.0 * tau / math.pi)
+    x = _bracketed_newton(gap, min(start, 0.5 * math.pi), 0.0, 0.5 * math.pi,
+                          True)[0]
+    return x if t <= 1.0 else math.pi - x
 
 
 def _ma1_level(spec: PsdSpec, power: float, nu0: float, bound: float):

@@ -309,6 +309,34 @@ class TestExitCodes:
         assert out == ""
         assert "infinite" in err
 
+    @pytest.mark.parametrize("psd", [
+        {"type": "ma", "coeffs": "12"},
+        {"type": "samples", "values": "3102"},
+        {"type": "ma", "coeffs": [True, 1]},
+        {"type": "samples", "values": [1.0, False, 2.0]},
+        {"type": "ma", "coeffs": {"0": 1.0}},
+        {"type": "ma", "coeffs": [1.0, 0.5], "sigma2": "2"},
+        {"type": "ma", "coeffs": [1.0, 0.5], "sigma2": True},
+        {"type": "white", "level": "1"},
+        {"type": "white", "level": True},
+        {"type": "white", "level": [1.0]},
+        {"type": "ma", "coeffs": [1, 10 ** 400]},
+    ], ids=["coeffs_string", "values_string", "coeffs_bool",
+            "values_bool", "coeffs_object", "sigma2_string", "sigma2_bool",
+            "level_string", "level_bool", "level_array", "coeffs_overflow"])
+    def test_non_numeric_psd_fields_are_invalid(self, capsys, tmp_path,
+                                                psd):
+        """coeffs and values must be JSON arrays of numbers, and sigma2 and
+        level numbers: a string is not read digit by digit, true is not 1,
+        and an integer beyond the float range is no float."""
+        path = tmp_path / "psd.json"
+        path.write_text(json.dumps(psd))
+        code, out, err = run(capsys, "capacity", "--psd", str(path),
+                             "--power", "1")
+        assert code == 2
+        assert out == ""
+        assert "must be" in err
+
     @pytest.mark.parametrize("coeffs", [[1.0, 2.0, 1.0],
                                         [1.0, 3.0, 3.0, 1.0]])
     def test_multiple_unit_circle_zeros_do_not_converge(self, capsys,

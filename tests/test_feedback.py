@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -90,6 +91,35 @@ class TestSkRoot:
         assert sol.x0 == pytest.approx(y / r, rel=1e-14)
         assert sol.rate_bits == pytest.approx(math.log2(r) - math.log2(y),
                                               abs=1e-12)
+
+    def test_within_one_ulp_of_mpmath(self):
+        """x0 lies within 1 ulp of the root at 60 digits, at 601 powers
+        log-spaced from 1e-300 to 1e300 and at P = 1/2, 3/4, 1, 2 and 3,
+        wherever the root does not round to 1.  mpmath solves scaled forms
+        whose roots are of order 1: t = x sqrt(P) for P >= 3/4, and
+        s = (1 - x) / k, k = (P/2)^(1/3), below, the root of
+        (1 - s k)^2 = (1 - s k / 2) s^3 in (0, 1.3)."""
+        mp = mpmath.mp.clone()
+        mp.dps = 60
+        powers = [float(p) for p in np.logspace(-300, 300, 601)]
+        checked = 0
+        for power in powers + [0.5, 0.75, 1.0, 2.0, 3.0]:
+            p = mp.mpf(power)
+            if power >= 0.75:
+                r = mp.sqrt(p)
+                x = mp.findroot(
+                    lambda t: t * t - (1 + t / r) * (1 - t / r) ** 3,
+                    (0, 1), solver="anderson") / r
+            else:
+                k = mp.cbrt(p / 2)
+                x = 1 - k * mp.findroot(
+                    lambda s: (1 - s * k) ** 2 - (1 - s * k / 2) * s ** 3,
+                    (0, 1.3), solver="anderson")
+            if float(x) == 1.0:
+                continue
+            assert abs(sk_root(power).x0 - x) <= math.ulp(float(x))
+            checked += 1
+        assert checked >= 350
 
     @pytest.mark.parametrize("power", [1e-60, 1e-300])
     def test_tiny_power_stays_next_to_one(self, power):

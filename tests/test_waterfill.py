@@ -939,7 +939,13 @@ def random_ma_spectra(seed, count):
 def test_theta_polish_matches_chebval_polish():
     """The colleague terms' crossings, Newton in theta from the arccos value
     of each root where the filled flag flips, meet the roots polished in
-    x = cos(theta) with chebval to 1e-13."""
+    x = cos(theta) with chebval to 1e-13.
+
+    Spectra whose last tap is 1e-20 to 1e-30 of the first take their
+    reference from the same taps without it, and must meet it one to one:
+    the colleague terms drop the series' trailing terms up to
+    eps sum |c_k|, whose reciprocal would otherwise scale the colleague
+    matrix and lose or move crossings."""
     rng = np.random.default_rng(61)
     count = 0
     for spec in random_ma_spectra(60, 600):
@@ -952,6 +958,19 @@ def test_theta_polish_matches_chebval_polish():
             assert np.min(np.abs(ref - theta)) <= 1e-13
         count += len(got)
     assert count >= 1000
+    count = 0
+    for spec in random_ma_spectra(65, 400):
+        tail = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, -20.0)
+        longer = PsdSpec.ma(spec.coeffs + (tail * spec.coeffs[0],),
+                            spec.sigma2)
+        s = psd_eval(spec, np.linspace(0.0, PI, 513))
+        nu = float(rng.uniform(s.min(), s.max()))
+        ref = ma_crossings_chebval(arrays._cosine_series(spec), nu)
+        got = arrays._colleague_terms(arrays._cosine_series(longer))(nu)[2]
+        assert len(got) - 2 == len(ref)
+        assert np.all(np.abs(np.sort(ref) - got[1:-1]) <= 1e-13)
+        count += len(ref)
+    assert count >= 500
 
 
 def test_jensen_eigensolve_matches_np_roots():
@@ -1073,36 +1092,14 @@ def test_ma1_capacity_property(taps, sigma2, log_power):
 
 # ---- MA(q >= 2) partial bands: the dilogarithm on the roots of B ---------
 
-def test_colleague_crossings_equal_chebroots():
-    """The colleague matrix is built once per spectrum, and each level sets
-    only its constant-term entry, by chebcompanion's own operations, so the
-    crossings are numpy chebroots' bit for bit and the Newton iterates, and
-    so nu, do not move.  Series of degree 0 and 1 take no matrix."""
-    rng = np.random.default_rng(63)
-    window = arrays._ROOT_WINDOW
-
-    def reference(c, nu):
-        p = c.copy()
-        p[0] -= nu
-        x = chebyshev.chebroots(p)
-        return np.sort(np.arccos(np.clip(
-            x.real[(np.abs(x.imag) <= window)
-                   & (np.abs(x.real) <= 1.0 + window)], -1.0, 1.0)))
-
-    count = 0
-    for spec in random_ma_spectra(64, 300):
-        c = arrays._cosine_series(spec)
-        crossings = arrays._ma_crossings(c)
-        s = psd_eval(spec, np.linspace(0.0, PI, 257))
-        for nu in rng.uniform(s.min(), s.max(), 3):
-            got = np.sort(crossings(nu))
-            assert np.array_equal(got, reference(c, nu))
-            count += len(got)
-    assert count >= 1000
-    for c in (np.array([2.0]), np.array([2.0, 1.5])):
-        for nu in (0.7, 2.0, 3.1):
-            assert np.array_equal(arrays._ma_crossings(c)(nu),
-                                  reference(c, nu))
+def test_ma_crossings_of_degree_0_and_1():
+    """A cosine series of degree 0 has no crossing, and one of degree 1 the
+    one root x = (nu - c0) / c1, at theta = arccos x where |x| <= 1."""
+    for nu in (0.7, 2.0, 3.1):
+        assert len(arrays._ma_crossings(np.array([2.0]), nu)) == 0
+        x = (nu - 2.0) / 1.5
+        got = arrays._ma_crossings(np.array([2.0, 1.5]), nu)
+        assert np.array_equal(got, np.arccos([x] if abs(x) <= 1.0 else []))
 
 
 def im_li2_points():
@@ -1522,7 +1519,6 @@ def test_sampled_check_never_passes_a_missed_crossing():
         total = float(np.abs(taps).sum())
         error = (rounding * (2.0 * total + rounding)
                  + (2 * len(c) + 5) * EPS * total ** 2)
-        crossings = arrays._ma_crossings(c)
         dense = psd_eval(spec, theta)
         minima = np.flatnonzero((dense[1:-1] < dense[:-2])
                                 & (dense[1:-1] < dense[2:])) + 1
@@ -1537,7 +1533,7 @@ def test_sampled_check_never_passes_a_missed_crossing():
                 edges = terms(nu)[2]
             except ConvergenceError:
                 continue
-            check = np.sort(crossings(nu))
+            check = np.sort(arrays._ma_crossings(c, nu))
             agree = (len(check) == len(edges) - 2
                      and np.all(np.abs(np.cos(check) - np.cos(edges[1:-1]))
                                 <= arrays._CHECK_WINDOW))
@@ -1671,7 +1667,8 @@ def test_colleague_check_catches_a_band_between_samples(monkeypatch):
         level = oracle.level(power)
     built = counted_calls(monkeypatch, arrays, "_colleague_terms")
     sol = nonfeedback_capacity(spec, power)
-    assert len(built) == 1
+    # one for the check at the tracked level, one for the fallback Newton
+    assert len(built) == 2
     assert len(sol.band_crossings) == 4
     assert sol.water_level == pytest.approx(level, rel=1e-12)
     assert sol.capacity_bits == pytest.approx(
