@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
-from .spectrum import PAPER_CHANNEL, ConvergenceError, PsdSpec
+from .spectrum import PAPER_CHANNEL, ConvergenceError, PsdSpec, _Record
 from .waterfill import _bracketed_newton, nonfeedback_capacity
 
 _EPS = sys.float_info.epsilon
@@ -23,29 +22,16 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ALPHA_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class SkSolution:
-    power: float
-    x0: float
-    rate_bits: float
-    residual: float
+class SkSolution(_Record):
+    __slots__ = ("power", "x0", "rate_bits", "residual")
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    power: float
-    c_p: float
-    c_2p: float
-    cp_double: float
-    cp_plus_half: float
-    cy_curve: tuple        # entries (alpha, bound1, bound2)
-    cy_min_alpha: float
-    cy_min_value: float
-    conjecture_bound: float
-    sk: SkSolution
-    sk_rate: float
-    violated: bool
-    margin: float
+class BoundReport(_Record):
+    """cy_curve holds entries (alpha, bound1, bound2); sk is an SkSolution."""
+
+    __slots__ = ("power", "c_p", "c_2p", "cp_double", "cp_plus_half",
+                 "cy_curve", "cy_min_alpha", "cy_min_value",
+                 "conjecture_bound", "sk", "sk_rate", "violated", "margin")
 
 
 def sk_poly(power, x):
@@ -67,7 +53,10 @@ def sk_root(power: float) -> SkSolution:
     x itself, the root of ((x - 2)x + P)x^2 + (2x - 1), from
     min(P^-1/2, 1/2), where 2x - 1 is exact next to x = 1/2; below,
     y = 1 - x, the root of P(1 - y)^2 - (2 - y)y^3, from
-    min((P/2)^(1/3), 1/2).  The residual is held to a few ulps of its
+    min((P/2)^(1/3), 1/2).  A last Newton step in x takes
+    f = P x^2 - 1 + 2x - 2x^3 + x^4 exact, summed in integers from the
+    integer ratios of P and x and divided once, which puts x0 within about
+    half an ulp of the root.  The residual is held to a few ulps of its
     scale, the two terms of f and the rounding of x times f';
     ConvergenceError is raised if it is not.
     """
@@ -86,6 +75,10 @@ def sk_root(power: float) -> SkSolution:
         x = 1.0 - _bracketed_newton(f, min((0.5 * power) ** (1.0 / 3.0), 0.5),
                                     0.0, 0.5, False)[0]
     x = min(max(x, 1e-300), 1.0 - 1e-16)
+    (n, d), (p, q) = x.as_integer_ratio(), float(power).as_integer_ratio()
+    f = (p * n * n * d * d + q * (n * (2 * d ** 3 - 2 * n * n * d + n ** 3)
+                                  - d ** 4)) / (q * d ** 4)
+    x = min(x - f / _sk_poly_deriv(power, x), 1.0 - 1e-16)
     residual = abs(sk_poly(power, x))
     scale = (power * x * x + (1.0 + x) * (1.0 - x) ** 3
              + x * _sk_poly_deriv(power, x))

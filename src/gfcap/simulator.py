@@ -22,24 +22,22 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ConditioningError, PsdSpec, UnsupportedFormError
+from .spectrum import (ConditioningError, PsdSpec, UnsupportedFormError,
+                       _Record)
 
 MESSAGE_PRIOR_VARIANCE = 1.0 / 12.0  # uniform message point on [0, 1]
 MC_BLOCK = 1024  # Monte Carlo trials per keyed random stream
 
 
-@dataclass(frozen=True)
-class SchemeConfig:
-    power: float
-    horizon: int
-    rate_bits: float
-    seed: int = 0
+class SchemeConfig(_Record):
+    __slots__ = ("power", "horizon", "rate_bits", "seed")
+    _defaults = {"seed": 0}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if not 0 < self.power < math.inf:
             raise ValueError("power must be positive and finite")
         if self.horizon < 2:
@@ -62,37 +60,25 @@ class SchemeConfig:
         return max(int(math.ceil(2.0 ** (self.horizon * self.rate_bits))), 1)
 
 
-@dataclass(frozen=True)
-class VarianceTrace:
-    transmit_power: np.ndarray      # length n, exactly P by gain normalization
-    error_variance: np.ndarray      # length n+1, index 0 is the prior
-    log2_error_variance: np.ndarray
-    contraction: np.ndarray         # length n, sqrt(V_i / V_{i-1})
-    signs: np.ndarray
-    contraction_estimate: float
+class VarianceTrace(_Record):
+    """Per step: transmit_power, exactly P by gain normalization;
+    error_variance and its log2, index 0 the prior; contraction
+    sqrt(V_i / V_{i-1}); signs."""
+
+    __slots__ = ("transmit_power", "error_variance", "log2_error_variance",
+                 "contraction", "signs", "contraction_estimate")
 
 
-@dataclass(frozen=True)
-class MonteCarloReport:
-    trials: int
-    horizon: int
-    pam_levels: int
-    empirical_avg_power: float
-    decode_errors: int
-    error_rate: float
-    contraction_empirical: float
-    empirical_error_variance: float
-    degenerate: bool
-    message_grid_saturated: bool
-    seed: int
+class MonteCarloReport(_Record):
+    __slots__ = ("trials", "horizon", "pam_levels", "empirical_avg_power",
+                 "decode_errors", "error_rate", "contraction_empirical",
+                 "empirical_error_variance", "degenerate",
+                 "message_grid_saturated", "seed")
 
 
-@dataclass(frozen=True)
-class _Step:
-    sign: float
-    gain_vec: np.ndarray   # covariance between augmented state and output
-    innov_var: float
-    ratio: float
+class _Step(_Record):
+    # gain_vec: covariance between augmented state and output
+    __slots__ = ("sign", "gain_vec", "innov_var", "ratio")
 
 
 def _ma_taps(noise: PsdSpec):

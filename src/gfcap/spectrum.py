@@ -1,5 +1,5 @@
 """Power spectral densities on [-pi, pi]: the PSD type, its evaluation,
-and spec-file I/O.
+and spec-file I/O; and _Record, the frozen slotted base of gfcap's records.
 
 A PSD can be given as a moving-average filter (coefficients plus innovation
 variance), as uniform samples on [0, pi] extended by even symmetry, or as a
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 
 
 class ConvergenceError(RuntimeError):
@@ -30,8 +29,53 @@ class UnsupportedFormError(ValueError):
     """Raised when an operation needs a PSD form other than the one given."""
 
 
-@dataclass(frozen=True)
-class PsdSpec:
+class _Record:
+    """Base of gfcap's frozen records.  The fields are the class's
+    __slots__, set once by __init__, by position or keyword in slot order,
+    with _defaults for those left out; equality and hashing go over every
+    field but those in _uncompared, and repr shows them all."""
+
+    __slots__ = ()
+    _defaults = {}
+    _uncompared = ()
+
+    def __init__(self, *args, **kwargs):
+        name, fields = type(self).__name__, self.__slots__
+        values = {**self._defaults, **dict(zip(fields, args)), **kwargs}
+        if (len(args) > len(fields) or len(values) < len(fields)
+                or not kwargs.keys() <= set(fields[len(args):])):
+            raise TypeError(f"{name}() takes {', '.join(fields)} by position "
+                            f"or keyword, each once")
+        for key in fields:
+            object.__setattr__(self, key, values[key])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__slots__))
+
+    def _compared(self):
+        return tuple(getattr(self, f) for f in self.__slots__
+                     if f not in self._uncompared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    def __hash__(self):
+        return hash(self._compared())
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+
+
+class PsdSpec(_Record):
     """A power spectral density in one of three forms.
 
     form == "ma":      S(theta) = sigma2 * |sum_k coeffs[k] e^{ik theta}|^2
@@ -40,32 +84,47 @@ class PsdSpec:
     form == "white":   S(theta) = level
     """
 
-    form: str
-    coeffs: tuple | None = None
-    sigma2: float | None = None
-    values: tuple | None = None
-    level: float | None = None
+    __slots__ = ("form", "coeffs", "sigma2", "values", "level")
 
-    def __post_init__(self):
-        if self.form == "ma":
-            if not self.coeffs:
+    # written out, not _Record's: one is built on every capacity solve
+    def __init__(self, form, coeffs=None, sigma2=None, values=None,
+                 level=None):
+        init = object.__setattr__
+        init(self, "form", form)
+        init(self, "coeffs", coeffs)
+        init(self, "sigma2", sigma2)
+        init(self, "values", values)
+        init(self, "level", level)
+        if form == "ma":
+            if not coeffs:
                 raise ValueError("ma form needs at least one coefficient")
-            if not all(map(math.isfinite, self.coeffs)):
+            if not all(map(math.isfinite, coeffs)):
                 raise ValueError("ma coefficients must be finite")
-            if self.sigma2 is None or not 0 < self.sigma2 < math.inf:
+            if sigma2 is None or not 0 < sigma2 < math.inf:
                 raise ValueError("innovation variance must be positive "
                                  "and finite")
-        elif self.form == "samples":
-            if self.values is None or len(self.values) < 2:
+        elif form == "samples":
+            if values is None or len(values) < 2:
                 raise ValueError("samples form needs at least two values")
-            if not all(0 <= v < math.inf for v in self.values):
+            if not all(0 <= v < math.inf for v in values):
                 raise ValueError("sampled PSD values must be nonnegative "
                                  "and finite")
-        elif self.form == "white":
-            if self.level is None or not 0 <= self.level < math.inf:
+        elif form == "white":
+            if level is None or not 0 <= level < math.inf:
                 raise ValueError("white level must be nonnegative and finite")
         else:
-            raise ValueError(f"unknown PSD form {self.form!r}")
+            raise ValueError(f"unknown PSD form {form!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.form, self.coeffs, self.sigma2, self.values, self.level)
+                == (other.form, other.coeffs, other.sigma2, other.values,
+                    other.level))
+
+    def __hash__(self):
+        return hash((self.form, self.coeffs, self.sigma2, self.values,
+                     self.level))
 
     @classmethod
     def ma(cls, coeffs, sigma2=1.0):

@@ -124,9 +124,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, field
 
-from .spectrum import ConvergenceError, PsdSpec, psd_eval
+from .spectrum import ConvergenceError, PsdSpec, _Record, psd_eval
 
 _EPS = sys.float_info.epsilon
 _LN2 = math.log(2.0)
@@ -163,14 +162,21 @@ _LI2_BERNOULLI = (
     -1.0356517612181247e-17, 2.395218621026187e-19, -5.581785874325009e-21)
 
 
-@dataclass(frozen=True)
-class WaterfillSolution:
-    power: float
-    water_level: float
-    capacity_bits: float
-    power_residual: float
-    input_psd: object = field(compare=False)  # callable theta -> (nu - S_Z)^+
-    band_crossings: tuple = ()
+class WaterfillSolution(_Record):
+    __slots__ = ("power", "water_level", "capacity_bits", "power_residual",
+                 "input_psd", "band_crossings")
+    _uncompared = ("input_psd",)  # callable theta -> (nu - S_Z)^+
+
+    # written out, not _Record's: one is built on every capacity solve
+    def __init__(self, power, water_level, capacity_bits, power_residual,
+                 input_psd, band_crossings=()):
+        init = object.__setattr__
+        init(self, "power", power)
+        init(self, "water_level", water_level)
+        init(self, "capacity_bits", capacity_bits)
+        init(self, "power_residual", power_residual)
+        init(self, "input_psd", input_psd)
+        init(self, "band_crossings", band_crossings)
 
 
 def _sin_minus_x_cos(x):
@@ -322,8 +328,7 @@ def _ma1_mean_and_bound(spec: PsdSpec):
             spec.sigma2 * (abs(b0) + abs(b1)) ** 2)
 
 
-@dataclass(frozen=True)
-class _Form:
+class _Form(_Record):
     """One spectral form's row of the water-filling table: vanishes(spec),
     whether S is zero on a band; mean_and_bound(spec) -> (mean S, bound),
     with bound >= max S, so that nu0 = mean S + P >= bound fills the band;
@@ -332,10 +337,7 @@ class _Form:
     capacity(spec, nu, edges, filled, tol) -> (C, F(nu)), the capacity in
     bits and the filled power recomputed at nu for the power check."""
 
-    vanishes: object
-    mean_and_bound: object
-    partial_level: object
-    capacity: object
+    __slots__ = ("vanishes", "mean_and_bound", "partial_level", "capacity")
 
 
 _WHITE = _Form(

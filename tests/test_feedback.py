@@ -93,15 +93,17 @@ class TestSkRoot:
                                               abs=1e-12)
 
     def test_within_one_ulp_of_mpmath(self):
-        """x0 lies within 1 ulp of the root at 60 digits, at 601 powers
-        log-spaced from 1e-300 to 1e300 and at P = 1/2, 3/4, 1, 2 and 3,
-        wherever the root does not round to 1.  mpmath solves scaled forms
-        whose roots are of order 1: t = x sqrt(P) for P >= 3/4, and
-        s = (1 - x) / k, k = (P/2)^(1/3), below, the root of
-        (1 - s k)^2 = (1 - s k / 2) s^3 in (0, 1.3)."""
+        """x0 lies within 0.51 ulp of the root at 60 digits, next to the
+        half ulp of the double nearest it, at 601 powers log-spaced from
+        1e-300 to 1e300, at 3,001 from 1e-6 to 1e6 and at P = 1/2, 3/4, 1,
+        2 and 3, wherever the root does not round to 1.  mpmath solves scaled forms whose roots
+        are of order 1: t = x sqrt(P) for P >= 3/4, and s = (1 - x) / k,
+        k = (P/2)^(1/3), below, the root of (1 - s k)^2 = (1 - s k / 2) s^3
+        in (0, 1.3)."""
         mp = mpmath.mp.clone()
         mp.dps = 60
-        powers = [float(p) for p in np.logspace(-300, 300, 601)]
+        powers = [float(p) for p in np.concatenate(
+            (np.logspace(-300, 300, 601), np.logspace(-6, 6, 3001)))]
         checked = 0
         for power in powers + [0.5, 0.75, 1.0, 2.0, 3.0]:
             p = mp.mpf(power)
@@ -117,9 +119,9 @@ class TestSkRoot:
                     (0, 1.3), solver="anderson")
             if float(x) == 1.0:
                 continue
-            assert abs(sk_root(power).x0 - x) <= math.ulp(float(x))
+            assert abs(sk_root(power).x0 - x) <= 0.51 * math.ulp(float(x))
             checked += 1
-        assert checked >= 350
+        assert checked >= 3350
 
     @pytest.mark.parametrize("power", [1e-60, 1e-300])
     def test_tiny_power_stays_next_to_one(self, power):

@@ -1,7 +1,9 @@
 """The closed-form commands (the paper channel and white noise) never
 import numpy; the array work (the simulator, MA(q >= 2) spectra) still
-does.  Each case runs in a fresh interpreter, since this test process has
-numpy loaded already."""
+does.  Nor does gfcap import dataclasses, or inspect, which dataclasses
+imports: its records are plain slotted classes, and only numpy loads
+inspect.  Each case runs in a fresh interpreter, since this test process
+has all three loaded already."""
 
 import json
 import os
@@ -12,18 +14,22 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Runs gfcap.cli.main on each argv list of sys.argv[1], output discarded,
-# and prints whether numpy was loaded after `import gfcap` and after each.
+# and prints which of the watched modules were loaded after `import gfcap`
+# and after each.  A module loaded before `import gfcap` (a site hook may
+# preload one) is not counted.
 SCRIPT = """
 import contextlib, io, json, sys
+absent = [m for m in ("dataclasses", "inspect", "numpy")
+          if m not in sys.modules]
 import gfcap
-loaded = ["numpy" in sys.modules]
+loaded = [[m for m in absent if m in sys.modules]]
 from gfcap.cli import main
 codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(main(argv))
-    loaded.append("numpy" in sys.modules)
-print(json.dumps({"codes": codes, "numpy": loaded}))
+    loaded.append([m for m in absent if m in sys.modules])
+print(json.dumps({"codes": codes, "loaded": loaded}))
 """
 
 
@@ -49,7 +55,7 @@ def test_closed_form_commands_never_import_numpy():
     )
     assert result["codes"] == [0] * 6
     # after `import gfcap`, then after each command
-    assert result["numpy"] == [False] * 7
+    assert result["loaded"] == [[]] * 7
 
 
 def test_array_commands_still_load_numpy(tmp_path):
@@ -60,4 +66,9 @@ def test_array_commands_still_load_numpy(tmp_path):
                 "--trace-out", str(tmp_path / "trace.csv")]
     capacity = ["capacity", "--power", "1", "--psd", str(spec)]
     for argv in (simulate, capacity):
-        assert run_fresh(argv) == {"codes": [0], "numpy": [False, True]}
+        result = run_fresh(argv)
+        assert result["codes"] == [0]
+        # numpy loads inspect itself; nothing loads dataclasses
+        assert result["loaded"][0] == []
+        assert "numpy" in result["loaded"][1]
+        assert "dataclasses" not in result["loaded"][1]

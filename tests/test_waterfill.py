@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -552,7 +551,8 @@ def test_full_band_power_check_is_independent_of_the_solve(monkeypatch, spec,
             mean, bound = row.mean_and_bound(psd)
             return mean + delta, bound
 
-        return dataclasses.replace(row, mean_and_bound=shifted)
+        return waterfill._Form(row.vanishes, shifted, row.partial_level,
+                               row.capacity)
 
     monkeypatch.setattr(waterfill, "_form", shifted_form)
     sol = nonfeedback_capacity(spec, power)
