@@ -760,7 +760,8 @@ def _bits(nu, edges, filled, filled_log):
 def _ma_capacity(spec: PsdSpec, nu, edges, filled, tol):
     """(C, F(nu)) of an MA(q != 1) spectrum: mean ln S is ln(sigma2 b0^2)
     where _ma_samples certifies minimum phase and Jensen's formula
-    otherwise, less int_U ln S on a partial band, from the cepstrum where
+    otherwise.  A full band has C = (ln nu - mean ln S) / (2 ln 2), in plain
+    Python; a partial band takes off int_U ln S, from the cepstrum where
     _log_series certifies it and from the dilogarithm otherwise.  F(nu)
     is, on a full band, nu - sigma2 mean |B(x_n)|^2 over the N roots of
     unity x_n from the half circle's FFT samples (the inner ones count
@@ -769,18 +770,18 @@ def _ma_capacity(spec: PsdSpec, nu, edges, filled, tol):
     nu - S between the returned crossings.  One matrix of
     cos(k mid) sin(k half) over the pieces serves both the areas and the
     cepstrum's integral."""
-    edges, filled = np.asarray(edges), np.asarray(filled)
     values, _, winding = _ma_samples(spec)
     if winding == 0:
         mean_log = (math.log(spec.sigma2)
                     + 2.0 * math.log(abs(spec.coeffs[0])))
     else:
         mean_log = _jensen_mean_log(spec, tol)
-    if filled.all():
+    if all(filled):
         ends = abs(values[0]) ** 2 + abs(values[-1]) ** 2
-        return _bits(nu, edges, filled, mean_log), nu - spec.sigma2 * (
+        return 0.5 * (math.log(nu) - mean_log) / _LN2, nu - spec.sigma2 * (
             2.0 * float(np.vdot(values, values).real) - ends) / (
             2 * (len(values) - 1))
+    edges, filled = np.asarray(edges), np.asarray(filled)
     c = _cosine_series(spec)
     width = float((edges[1:] - edges[:-1])[~filled].sum())
     weights = _log_series(spec, width, tol) if winding == 0 else None

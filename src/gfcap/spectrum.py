@@ -128,8 +128,7 @@ class PsdSpec(_Record):
 
     @classmethod
     def ma(cls, coeffs, sigma2=1.0):
-        return cls(form="ma", coeffs=tuple(float(c) for c in coeffs),
-                   sigma2=float(sigma2))
+        return cls("ma", tuple(map(float, coeffs)), float(sigma2))
 
     @classmethod
     def from_samples(cls, values):
@@ -137,19 +136,21 @@ class PsdSpec(_Record):
 
     @classmethod
     def white(cls, level):
-        return cls(form="white", level=float(level))
+        return cls("white", None, None, None, float(level))
 
 
 #: The MA(1) channel used throughout: S_Z(theta) = |1+e^{i theta}|^2 = 2(1+cos theta).
 PAPER_CHANNEL = PsdSpec.ma((1.0, 1.0), 1.0)
+_THETA_MAX = math.pi + 1e-12  # the largest |theta|, with room for rounding
 
 
 def psd_eval(spec: PsdSpec, theta):
     """Evaluate the PSD at theta in [-pi, pi].  A float gives a float and a
     tuple a tuple of floats; anything else is taken as an array and gives
-    an array.  Floats and tuples of white and MA spectra are evaluated in
-    plain Python, by the same Horner pass in z as arrays; numpy is
-    imported only for arrays and samples spectra."""
+    an array.  An angle outside [-pi, pi], or nan, raises ValueError.
+    Floats and tuples of white and MA spectra are evaluated in plain
+    Python, by the same Horner pass in z as arrays; numpy is imported only
+    for arrays and samples spectra."""
     if isinstance(theta, (int, float)):
         return _eval_points(spec, (theta,))[0]
     if isinstance(theta, tuple):
@@ -159,20 +160,24 @@ def psd_eval(spec: PsdSpec, theta):
 
 def _eval_points(spec: PsdSpec, points):
     """psd_eval over a tuple of angles, as a tuple of floats."""
-    if any(abs(t) > math.pi + 1e-12 for t in points):
+    # max passes over a nan unless it comes first; the sum does not
+    if points and not (max(map(abs, points)) <= _THETA_MAX
+                       and math.isfinite(sum(points))):
         raise ValueError("theta outside [-pi, pi]")
     if spec.form == "white":
         return (spec.level,) * len(points)
     if spec.form == "samples":
         return tuple(_eval_array(spec, points).tolist())
+    cos, sin, sigma2 = math.cos, math.sin, spec.sigma2
+    last, rest = complex(spec.coeffs[-1]), spec.coeffs[-2::-1]
     out = []
     for t in points:
-        z = complex(math.cos(t), math.sin(t))
-        acc = complex(spec.coeffs[-1])
-        for bk in reversed(spec.coeffs[:-1]):
+        z = complex(cos(t), sin(t))
+        acc = last
+        for bk in rest:
             acc = acc * z + bk
         r = abs(acc)
-        out.append(spec.sigma2 * (r * r))
+        out.append(sigma2 * (r * r))
     return tuple(out)
 
 
@@ -180,7 +185,7 @@ def _eval_array(spec: PsdSpec, theta):
     import numpy as np
 
     th = np.asarray(theta, dtype=float)
-    if np.any(np.abs(th) > math.pi + 1e-12):
+    if not np.all(np.abs(th) <= _THETA_MAX):
         raise ValueError("theta outside [-pi, pi]")
     if spec.form == "ma":
         # Horner in z = e^{i theta}: one cos and one sin per point, written

@@ -110,13 +110,15 @@ Each spectral form is one row of the table _Form, and _form(spec), the
 one place that reads the form, picks it.  nonfeedback_capacity runs every
 row the same way: its vanishing test, one _solve_level (nu0 where it
 fills the band, else the row's partial level), its capacity and filled
-power, then the roundoff floors and the power residual.  The white and
-MA(1) rows are here, in plain Python with tuples for the breakpoints and
-flags, and this module does not import numpy.  The MA(q != 1) and
-samples rows are in the array half, _waterfill_arrays, imported on first
-use.  _bracketed_newton, here, is the package's one scalar root loop: the
-MA(1) band width, every MA(q >= 2) crossing and feedback.sk_root solve
-through it.
+power, then one check of both roundoff floors, and the power residual.  A
+full band is the one piece (0, pi), with no crossings, and the white and
+MA rows take its C in plain Python, without an array of pieces.  The
+white and MA(1) rows are here, in plain Python with tuples for the
+breakpoints and flags, and this module does not import numpy.  The
+MA(q != 1) and samples rows are in the array half, _waterfill_arrays,
+imported on first use.  _bracketed_newton, here, is the package's one
+scalar root loop: the MA(1) band width, every MA(q >= 2) crossing and
+feedback.sk_root solve through it.
 """
 
 from __future__ import annotations
@@ -144,6 +146,7 @@ _GL_WEIGHTS = (
     0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
     0.12462897125553407, 0.0951585116824926, 0.062253523938647456,
     0.027152459411754176)
+_QUARTERS = (0.25 * math.pi, 0.75 * math.pi)  # the full MA(1) band's rule
 # Cap on the steps of one bracketed Newton solve.  Bisection alone narrows a
 # bracket of width w to 4 eps of a root at x in about 50 + log2(w / x) steps;
 # Newton converges far sooner
@@ -298,10 +301,11 @@ def _ma1_capacity(psd: PsdSpec, nu, edges, filled, tol):
     midpoints pi/4 and 3 pi/4, a rule exact for a cosine series of degree
     1, and over a filled arc the 16-point Gauss-Legendre rule on nu - S,
     exact to rounding there (error below 1e-38 |c1|)."""
-    small, large = sorted(map(abs, psd.coeffs))
+    b0, b1 = abs(psd.coeffs[0]), abs(psd.coeffs[1])
+    small, large = (b1, b0) if b1 <= b0 else (b0, b1)
     log_scale = math.log(psd.sigma2) + 2.0 * math.log(large)
     if all(filled):
-        s = psd_eval(psd, (0.25 * math.pi, 0.75 * math.pi))
+        s = psd_eval(psd, _QUARTERS)
         return (0.5 * (math.log(nu) - log_scale) / _LN2,
                 nu - 0.5 * (s[0] + s[1]))
     i = 0 if filled[0] else 1
@@ -349,17 +353,20 @@ _WHITE = _Form(
         0.5 * math.log2(nu / spec.level), nu - spec.level),
 )
 _MA1 = _Form(_ma_vanishes, _ma1_mean_and_bound, _ma1_level, _ma1_capacity)
+_arrays = None  # the array half, which _form imports on first use
 
 
 def _form(spec: PsdSpec) -> _Form:
     """The row of spec's form: white noise and MA(1) from this module,
     MA(q != 1) and samples from the array half, imported on first use."""
+    global _arrays
     if spec.form == "white":
         return _WHITE
     if spec.form == "ma" and len(spec.coeffs) == 2:
         return _MA1
-    from . import _waterfill_arrays as arrays
-    return arrays._MA if spec.form == "ma" else arrays._SAMPLES
+    if _arrays is None:
+        from . import _waterfill_arrays as _arrays
+    return _arrays._MA if spec.form == "ma" else _arrays._SAMPLES
 
 
 def _solve_level(spec: PsdSpec, power: float, row: _Form):
@@ -382,14 +389,15 @@ def water_level(psd: PsdSpec, power: float) -> float:
     return _solve_level(psd, power, _form(psd))[0]
 
 
-def _check_floor(tol, *values):
+def _check_floors(tol, capacity, power, filled_power):
     """Raise ConvergenceError when tol is below the roundoff floor of the
-    values: a tolerance below roundoff can never be certified honestly."""
-    floor = 4.0 * _EPS * max(max(abs(v) for v in values), 1.0)
-    if tol < floor:
-        raise ConvergenceError(
-            f"tolerance {tol:g} is below the achievable roundoff floor "
-            f"{floor:.2e}")
+    capacity, or tol max(1, P) below that of the filled power, each
+    4 eps max(|value|, 1): a tolerance below roundoff cannot be certified."""
+    for t, value in ((tol, capacity), (tol * max(1.0, power), filled_power)):
+        floor = 4.0 * _EPS * max(abs(value), 1.0)
+        if t < floor:
+            raise ConvergenceError(f"tolerance {t:g} is below the achievable "
+                                   f"roundoff floor {floor:.2e}")
 
 
 def nonfeedback_capacity(psd: PsdSpec, power: float,
@@ -413,21 +421,15 @@ def nonfeedback_capacity(psd: PsdSpec, power: float,
                          "capacity is infinite")
     nu, edges, filled = _solve_level(psd, power, row)
     capacity, filled_power = row.capacity(psd, nu, edges, filled, tol)
-    _check_floor(tol, capacity)
-    _check_floor(tol * max(1.0, power), filled_power)
+    _check_floors(tol, capacity, power, filled_power)
 
     def input_psd(th):
         import numpy as np
 
         return np.maximum(nu - psd_eval(psd, th), 0.0)
 
-    return WaterfillSolution(
-        power=power,
-        water_level=nu,
-        capacity_bits=capacity,
-        power_residual=abs(filled_power - power),
-        input_psd=input_psd,
-        band_crossings=tuple(
-            float(edges[i + 1]) for i in range(len(filled) - 1)
-            if filled[i] != filled[i + 1]),
-    )
+    crossings = () if len(filled) == 1 else tuple(
+        float(edges[i + 1]) for i in range(len(filled) - 1)
+        if filled[i] != filled[i + 1])
+    return WaterfillSolution(power, nu, capacity, abs(filled_power - power),
+                             input_psd, crossings)

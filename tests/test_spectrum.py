@@ -39,6 +39,23 @@ class TestPsdEval:
         with pytest.raises(ValueError):
             psd_eval(PAPER_CHANNEL, 3.5)
 
+    @pytest.mark.parametrize("spec", [
+        PAPER_CHANNEL, PsdSpec.ma([1.0, -0.4, 0.2], 2.0), PsdSpec.ma([1.5]),
+        PsdSpec.white(1.7), PsdSpec.from_samples([4.0, 2.0, 0.0]),
+    ], ids=["ma1", "ma2", "ma0", "white", "samples"])
+    @pytest.mark.parametrize("theta", [
+        math.nan, (math.nan,), (0.3, math.nan), (0.3, -1.0, math.nan, 2.0),
+        (math.inf, -math.inf), (0.3, 3.5), np.array(math.nan),
+        np.array([0.3, math.nan]),
+    ], ids=["float", "tuple", "tuple_second", "tuple_inner", "tuple_infs",
+            "tuple_out", "array0d", "array"])
+    def test_nan_and_out_of_range_rejected_on_every_path(self, spec, theta):
+        """A nan angle raises the ValueError of one outside [-pi, pi], on
+        every form and on the float, tuple and array paths, wherever it
+        sits among the angles."""
+        with pytest.raises(ValueError, match="theta outside"):
+            psd_eval(spec, theta)
+
     def test_symmetry_exact_for_ma_and_white(self):
         rng = np.random.default_rng(11)
         th = rng.uniform(0.0, PI, 1000)

@@ -202,8 +202,9 @@ class Oracle:
     """scipy brentq and quad on one spectrum.  S is monotone between
     neighbouring nodes of a grid that includes its polished local extrema,
     so each crossing of S = nu is bracketed by two nodes and located by
-    brentq; each filled band is then integrated by quad, with break points
-    graded toward the local minima and the ends 0 and pi.
+    brentq; each filled band is then integrated by quad, broken at the
+    local minima inside it, or where quad warns, with break points graded
+    toward every local minimum and the ends 0 and pi.
 
     A run of grid nodes with equal values is one candidate turn, polished
     over the run and its two neighbours if both lie strictly on the same
@@ -261,9 +262,20 @@ class Oracle:
     def capacity(self, nu):
         s, total = self.s, 0.0
         for a, b in self.bands(nu):
-            total += quad(lambda t: math.log(nu / s(t)), a, b,
-                          points=graded(a, b, self.minima), epsabs=1e-15,
-                          epsrel=1e-13, limit=1000)[0]
+            def gain(t):
+                return math.log(nu / s(t))
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", IntegrationWarning)
+                try:
+                    total += quad(gain, a, b, points=[
+                        m for m in self.minima if a < m < b] or None,
+                        epsabs=1e-15, epsrel=1e-13, limit=1000)[0]
+                    continue
+                except IntegrationWarning:
+                    pass
+            total += quad(gain, a, b, points=graded(a, b, self.minima),
+                          epsabs=1e-15, epsrel=1e-13, limit=1000)[0]
         return 0.5 * total / (PI * math.log(2.0))
 
 
@@ -849,12 +861,16 @@ def test_horner_psd_eval_matches_per_tap_sum():
     sigma2 (sum |b_k|)^2, the scale of S's rounding: numpy fuses the
     complex multiply and rounds |acc| apart from libm's hypot, so the two
     passes differ by a few ulps of that scale, not of S next to a zero.
-    White noise is its level at every point, on every path."""
+    A tuple gives the float path's values bit for bit, and an empty tuple
+    an empty tuple.  White noise is its level at every point, and a
+    samples spectrum the array path's values, on every path."""
     rng = np.random.default_rng(11)
     th = np.linspace(-PI, PI, 2001)
-    for q in range(17):
+    specs = []
+    for q in [*range(17), *rng.integers(0, 9, size=24)]:
         b = rng.standard_normal(q + 1) * 10 ** rng.uniform(-2, 2)
         spec = PsdSpec.ma(b, float(10 ** rng.uniform(-1, 1)))
+        specs.append(spec)
         bound = 8 * EPS * spec.sigma2 * np.sum(np.abs(b)) ** 2
         array = psd_eval(spec, th)
         assert np.max(np.abs(array - psd_eval_loop(spec, th))) <= bound
@@ -871,6 +887,15 @@ def test_horner_psd_eval_matches_per_tap_sum():
     assert psd_eval(white, (0.3, -3.0)) == (0.7, 0.7)
     assert psd_eval(white, 0.3) == 0.7
     assert np.array_equal(psd_eval(white, th), np.full(th.shape, 0.7))
+    exact = [white, *(PsdSpec.from_samples(rng.uniform(0.0, 3.0, m))
+                      for m in (2, 3, 9, 40))]
+    grid = th[::8].tolist()
+    for spec in [*specs, *exact]:
+        points = psd_eval(spec, tuple(grid))
+        assert points == tuple(psd_eval(spec, t) for t in grid)
+        if spec in exact:
+            assert points == tuple(psd_eval(spec, np.array(grid)).tolist())
+        assert psd_eval(spec, ()) == ()
 
 
 # ---- reference forms of the crossing polish and of Jensen's formula -------
@@ -1595,27 +1620,6 @@ def gaussian_partial_bands(seed, count):
         yield spec, float(rng.uniform(0.01, 0.9) * (s.max() - mean))
 
 
-def quad_capacity(spec, nu):
-    """C at level nu from scipy's quad over the Oracle's bands, with break
-    points at its polished minima only; where quad warns that roundoff kept
-    it from its tolerance, from the Oracle's own capacity, whose break
-    points are graded toward the minima, its warnings ignored."""
-    oracle = Oracle(spec)
-    total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", IntegrationWarning)
-        try:
-            for a, b in oracle.bands(nu):
-                total += quad(lambda t: math.log(nu / oracle.s(t)), a, b,
-                              points=[m for m in oracle.minima if a < m < b]
-                              or None,
-                              epsabs=1e-15, epsrel=1e-13, limit=1000)[0]
-        except IntegrationWarning:
-            warnings.simplefilter("ignore", IntegrationWarning)
-            return oracle.capacity(nu)
-    return 0.5 * total / (PI * math.log(2.0))
-
-
 def test_colleague_newton_meets_the_certified_tracked_solve(monkeypatch):
     """The fallback, Newton on the colleague terms from the sampled start,
     on random MA(2..20) partial bands with Gaussian taps and with zeros of
@@ -1647,7 +1651,12 @@ def test_colleague_newton_meets_the_certified_tracked_solve(monkeypatch):
         assert edges[1:-1] == pytest.approx(sol.band_crossings, rel=0,
                                             abs=1e-12)
         capacity = arrays._ma_capacity(spec, nu, edges, filled, 1e-10)[0]
-        assert capacity == pytest.approx(quad_capacity(spec, nu), abs=1e-10)
+        with warnings.catch_warnings():
+            # where roundoff keeps quad from its tolerance even with graded
+            # break points, the oracle's value stands, its warning ignored
+            warnings.simplefilter("ignore", IntegrationWarning)
+            expected = Oracle(spec).capacity(nu)
+        assert capacity == pytest.approx(expected, abs=1e-10)
         count += 1
     assert count >= 200
 
@@ -1709,6 +1718,32 @@ def test_tol_is_checked_before_any_solve(monkeypatch, row, tol):
     monkeypatch.setattr(waterfill, "_solve_level", no_solve)
     with pytest.raises(ValueError, match="tolerance"):
         nonfeedback_capacity(ROWS[row], 0.3, tol)
+
+
+@pytest.mark.parametrize("power, capacity, filled_power, held", [
+    (1e6, 1e6, 1e6, 1e-10),
+    (1.0, 0.5, 1e6, 1e-10),
+    (2.0, 0.5, 1e7, 2e-10),
+], ids=["capacity_floor", "power_floor", "power_floor_scaled_by_p"])
+def test_each_roundoff_floor_raises_on_its_own(monkeypatch, power, capacity,
+                                               filled_power, held):
+    """tol = 1e-10 on a white row whose capacity returns (C, F): the
+    capacity's floor, 4 eps max(|C|, 1), raises at C = 1e6 with F = P,
+    and the filled power's, 4 eps max(|F|, 1) against tol max(1, P), at
+    F = 1e6 or 1e7 with C = 1/2, each while the other floor holds."""
+    row = waterfill._form(PsdSpec.white(1.0))
+
+    def with_capacity(result):
+        fixed = waterfill._Form(row.vanishes, row.mean_and_bound,
+                                row.partial_level, lambda *args: result)
+        monkeypatch.setattr(waterfill, "_form", lambda psd: fixed)
+
+    with_capacity((capacity, filled_power))
+    with pytest.raises(ConvergenceError, match=f"tolerance {held:g} .*floor"):
+        nonfeedback_capacity(PsdSpec.white(1.0), power, 1e-10)
+    with_capacity((0.5, power))
+    assert nonfeedback_capacity(PsdSpec.white(1.0), power,
+                                1e-10).capacity_bits == 0.5
 
 
 def test_conjecture_check_rejects_a_bad_tol():
